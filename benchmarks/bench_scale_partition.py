@@ -1,19 +1,21 @@
 """E-scale — scaling sweeps of the array-native partitioning pipeline.
 
 Not a paper artifact: this benchmark guards the performance contract of the
-array-backed path, at two levels.
+array partitioners, at two levels.  The "set" side of every sweep is the
+per-point tuple reference under ``tests/tuple_reference.py`` (frozenset
+algebra, the literal dataflow while-loop, the hash-join analyser).
 
 * ``test_scale_partition_speedup`` — the original core sweep: three-set
   partition (eq. 5) + dataflow wavefront peeling over a **synthetic relation**
-  (:func:`repro.workloads.synthetic.scale_partition_case`), set vs vector
-  engine, 10³–10⁵ points (10⁶ with ``REPRO_SCALE_XL=1``).  Contract: ≥5×
-  at 10⁵ points, bit-identical partitions and wavefronts.
+  (:func:`repro.workloads.synthetic.scale_partition_case`), tuple reference
+  vs the library, 10³–10⁵ points (10⁶ with ``REPRO_SCALE_XL=1``).
+  Contract: ≥5× at 10⁵ points, bit-identical partitions and wavefronts.
 
 * ``test_end_to_end_pipeline_speedup`` — the full **program → exact Rd →
-  schedule** pipeline on a real program (:func:`large_uniform_loop`), old
-  path (hash-join analyser, frozenset unions, set-engine partitioners, tuple
-  ``Schedule``) vs array-native path (sort/merge join, array concatenation,
-  vector engines, :class:`~repro.core.schedule.ArrayPhase` schedule).
+  schedule** pipeline on a real program (:func:`large_uniform_loop`), tuple
+  reference (hash-join analyser, frozenset unions, set-algebra partitioners,
+  tuple ``Schedule``) vs the library (sort/merge join, array concatenation,
+  array partitioners, :class:`~repro.core.schedule.ArrayPhase` schedule).
   Contract: ≥10× end-to-end wall-clock at 10⁵ points, bit-identical
   P1/P2/P3/W sets and wavefronts.
 
@@ -40,11 +42,10 @@ array-backed path, at two levels.
 * ``test_statement_level_speedup`` — the §3.3 statement-level pipeline on the
   multi-statement triangular imperfect nest
   (:func:`repro.workloads.synthetic.large_cholesky_nest`): full
-  program → statement-level Rd → wavefront schedule, tuple path
-  (``engine="set"``: per-instance unify loop, Python set of unified pairs,
-  set peeling, per-point block units) vs array path (``engine="vector"``:
-  one ``unify_array`` interleave per statement, ``PointCodec`` orientation,
-  CSR peeling over unified rows,
+  program → statement-level Rd → wavefront schedule, tuple reference
+  (per-instance unify loop, Python set of unified pairs, set peeling,
+  per-point block units) vs the library (one ``unify_array`` interleave per
+  statement, lexicographic-key orientation, CSR peeling over unified rows,
   :class:`~repro.core.schedule.UnifiedArrayPhase` schedule).  Contract: ≥5×
   at 10⁵ statement instances, bit-identical phase names and instance
   sequences.
@@ -58,14 +59,11 @@ so the trajectory is inspectable over time.
 
 import json
 import os
+import sys
 import time
 from pathlib import Path
 
-from repro.analysis.pipelines import (
-    pipeline_mismatches,
-    run_array_pipeline,
-    run_set_pipeline,
-)
+from repro.analysis.pipelines import pipeline_mismatches, run_pipeline
 from repro.core.dataflow import dataflow_partition, dataflow_schedule
 from repro.core.partition import three_set_partition
 from repro.core.strategy import PlanCache, PlanConfig, plan
@@ -73,9 +71,18 @@ from repro.dependence.analysis import DependenceAnalysis
 
 from conftest import RUN_ID, emit, run_once, stamp_rows
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from tuple_reference import (  # noqa: E402 - the tests directory is not a package
+    ref_dataflow,
+    ref_dataflow_branch,
+    ref_pipeline,
+    ref_statement_space,
+    ref_three_set,
+)
+
 #: (n1, n2) sweep: 10³, 10⁴ and 10⁵ iteration points.
 SIZES = [(40, 25), (125, 80), (500, 200)]
-XL_SIZE = (1250, 800)  # 10⁶ points, vector engine only
+XL_SIZE = (1250, 800)  # 10⁶ points, library only
 
 BENCH_JSON = Path(__file__).resolve().parents[1] / "BENCH_scale.json"
 
@@ -103,11 +110,14 @@ def record_bench(section, rows):
     BENCH_JSON.write_text(json.dumps(data, indent=2) + "\n")
 
 
-def hot_path(space, rd, engine):
+def hot_path(space, rd):
     """The measured core hot path: eq. 5 partition + dataflow peeling."""
-    partition = three_set_partition(space, rd, engine=engine)
-    waves = dataflow_partition(space, rd, engine=engine)
-    return partition, waves
+    return three_set_partition(space, rd), dataflow_partition(space, rd)
+
+
+def reference_hot_path(space, rd):
+    """The same two steps on the tuple reference."""
+    return ref_three_set(space, rd), ref_dataflow(space, rd)
 
 
 def test_scale_partition_speedup(benchmark, report):
@@ -117,17 +127,17 @@ def test_scale_partition_speedup(benchmark, report):
     for n1, n2 in SIZES:
         space, rd = scale_partition_case(n1, n2)
         t0 = time.perf_counter()
-        set_partition, set_waves = hot_path(space, rd, "set")
+        set_partition, set_waves = reference_hot_path(space, rd)
         t_set = time.perf_counter() - t0
         t0 = time.perf_counter()
-        vec_partition, vec_waves = hot_path(space, rd, "vector")
+        vec_partition, vec_waves = hot_path(space, rd)
         t_vector = time.perf_counter() - t0
-        # The two engines must agree exactly before their timings mean anything.
+        # The two sides must agree exactly before their timings mean anything.
         assert vec_partition.p1 == set_partition.p1
         assert vec_partition.p2 == set_partition.p2
         assert vec_partition.p3 == set_partition.p3
         assert vec_partition.w == set_partition.w
-        assert vec_waves.wavefronts == set_waves.wavefronts
+        assert vec_waves.wavefronts == set_waves
         rows.append(
             {
                 "points": n1 * n2,
@@ -142,7 +152,7 @@ def test_scale_partition_speedup(benchmark, report):
         n1, n2 = XL_SIZE
         space, rd = scale_partition_case(n1, n2)
         t0 = time.perf_counter()
-        _, waves = hot_path(space, rd, "vector")
+        _, waves = hot_path(space, rd)
         t_vector = time.perf_counter() - t0
         rows.append(
             {
@@ -160,18 +170,19 @@ def test_scale_partition_speedup(benchmark, report):
     big = rows[len(SIZES) - 1]
     assert big["points"] >= 10**5
     assert big["speedup"] >= 5.0, (
-        f"vectorized engine only {big['speedup']}x faster at {big['points']} points"
+        f"array partitioners only {big['speedup']}x faster than the tuple "
+        f"reference at {big['points']} points"
     )
 
-    # Record the vectorized hot path at the largest swept size under
+    # Record the array hot path at the largest swept size under
     # pytest-benchmark as well.
     space, rd = scale_partition_case(*SIZES[-1])
-    run_once(benchmark, hot_path, space, rd, "vector")
+    run_once(benchmark, hot_path, space, rd)
 
 
 # ---------------------------------------------------------------------------
 # end-to-end pipeline: program -> exact Rd -> partition -> schedule
-# (drivers shared with tests/core/test_array_pipeline.py via
+# (runner shared with tests/core/test_array_pipeline.py via
 #  repro.analysis.pipelines, so the bench measures exactly what is verified)
 # ---------------------------------------------------------------------------
 
@@ -183,10 +194,10 @@ def test_end_to_end_pipeline_speedup(report):
     for n1, n2 in SIZES:
         prog = large_uniform_loop(n1, n2)
         t0 = time.perf_counter()
-        set_run = run_set_pipeline(prog)
+        set_run = ref_pipeline(prog)
         t_set = time.perf_counter() - t0
         t0 = time.perf_counter()
-        array_run = run_array_pipeline(prog)
+        array_run = run_pipeline(prog)
         t_array = time.perf_counter() - t0
         assert not pipeline_mismatches(set_run, array_run)
         rows.append(
@@ -205,7 +216,7 @@ def test_end_to_end_pipeline_speedup(report):
     big = rows[-1]
     assert big["points"] >= 10**5
     assert big["speedup"] >= 10.0, (
-        f"array-native pipeline only {big['speedup']}x faster end-to-end "
+        f"array pipeline only {big['speedup']}x faster than the tuple reference end-to-end "
         f"at {big['points']} points"
     )
 
@@ -214,8 +225,8 @@ def test_plan_facade_overhead(report):
     """Facade contract: cold plan() <5% over the bare pipeline; cached ≥10×.
 
     The bare pipeline is exactly what the pinned dataflow strategy runs for a
-    single-statement perfect nest — analysis on the vector engine, then the
-    CSR wavefront schedule off the iteration arrays — so the delta measures
+    single-statement perfect nest — the dependence analysis, then the CSR
+    wavefront schedule off the iteration arrays — so the delta measures
     only the facade itself (fingerprinting, registry walk, Plan assembly).
     The two sides are measured *interleaved*, best-of-5, and the assertion
     carries a 10 ms absolute slack: on a quiet machine the measured overhead
@@ -226,17 +237,16 @@ def test_plan_facade_overhead(report):
     from repro.workloads.synthetic import large_uniform_loop
 
     n1, n2 = SIZES[-1]
-    config = PlanConfig(engine="vector", strategies=("dataflow",))
+    config = PlanConfig(strategies=("dataflow",))
 
     def bare():
         prog = large_uniform_loop(n1, n2)
-        analysis = DependenceAnalysis(prog, {}, engine="vector")
+        analysis = DependenceAnalysis(prog, {})
         return dataflow_schedule(
             f"{prog.name}-REC-dataflow",
             analysis.iteration_space_array,
             analysis.iteration_dependences,
             label="s",
-            engine="vector",
         )
 
     def cold():
@@ -321,7 +331,7 @@ def test_process_backend_speedup(report):
     rows = []
     for n1, n2 in SIZES[1:]:  # 10⁴ warm-up row, 10⁵ gated row
         prog = large_uniform_loop(n1, n2, semantics=compute_heavy_semantics)
-        config = PlanConfig(engine="vector", strategies=("dataflow",))
+        config = PlanConfig(strategies=("dataflow",))
         p = plan(prog, config=config, cache=False)
 
         t0 = time.perf_counter()
@@ -373,12 +383,11 @@ def test_process_backend_speedup(report):
 
 
 def test_statement_level_speedup(report):
-    """§3.3 contract: the array-native statement level is ≥5× the tuple path
+    """§3.3 contract: the array statement level is ≥5× the tuple reference
     at 10⁵ statement instances, with bit-identical schedules."""
     from repro.workloads.synthetic import large_cholesky_nest
 
-    set_config = PlanConfig(engine="set", strategies=("dataflow",))
-    vec_config = PlanConfig(engine="vector", strategies=("dataflow",))
+    vec_config = PlanConfig(strategies=("dataflow",))
 
     rows = []
     #: n sweep of the triangular nest: ~10³, ~10⁴ and ~10⁵ statement instances.
@@ -387,14 +396,16 @@ def test_statement_level_speedup(report):
         vec_plan = plan(large_cholesky_nest(n), config=vec_config, cache=False)
         t_vector = time.perf_counter() - t0
         t0 = time.perf_counter()
-        set_plan = plan(large_cholesky_nest(n), config=set_config, cache=False)
+        set_schedule = ref_dataflow_branch(large_cholesky_nest(n), {})
         t_set = time.perf_counter() - t0
-        # The two engines must agree exactly before their timings mean anything:
+        # The two sides must agree exactly before their timings mean anything:
         # same unified space, same Rd, same wavefronts, same instance order.
-        assert set_plan.statement_space.unified == vec_plan.statement_space.unified
-        assert set_plan.statement_space.rd == vec_plan.statement_space.rd
-        assert set_plan.schedule.num_phases == vec_plan.schedule.num_phases
-        for ps, pv in zip(set_plan.schedule.phases, vec_plan.schedule.phases):
+        # (The reference space is rebuilt here, outside the timed region.)
+        set_space = ref_statement_space(large_cholesky_nest(n), {})
+        assert set_space.unified == vec_plan.statement_space.unified
+        assert set_space.rd == vec_plan.statement_space.rd
+        assert set_schedule.num_phases == vec_plan.schedule.num_phases
+        for ps, pv in zip(set_schedule.phases, vec_plan.schedule.phases):
             assert ps.name == pv.name
             assert ps.instances() == pv.instances()
         rows.append(
@@ -413,7 +424,7 @@ def test_statement_level_speedup(report):
     big = rows[-1]
     assert big["instances"] >= 10**5
     assert big["speedup"] >= 5.0, (
-        f"array-native statement level only {big['speedup']}x faster "
+        f"array statement level only {big['speedup']}x faster than the tuple reference "
         f"at {big['instances']} statement instances"
     )
 
@@ -423,15 +434,15 @@ def test_triangular_end_to_end(report):
 
     # Equivalence of the two paths through the non-rectangular join at 10⁴.
     prog = large_triangular_loop(141)
-    assert not pipeline_mismatches(run_set_pipeline(prog), run_array_pipeline(prog))
+    assert not pipeline_mismatches(ref_pipeline(prog), run_pipeline(prog))
 
-    # Array-path wall-clock at 10⁵ points (the set path would take minutes:
-    # its dataflow peeling alone is O(steps · |Rd|) over Python sets).
+    # Array-path wall-clock at 10⁵ points (the tuple reference would take
+    # minutes: its dataflow peeling alone is O(steps · |Rd|) over Python sets).
     rows = []
     for n in (141, 447):
         prog = large_triangular_loop(n)
         t0 = time.perf_counter()
-        array_run = run_array_pipeline(prog)
+        array_run = run_pipeline(prog)
         t_array = time.perf_counter() - t0
         assert array_run.schedule.num_phases == n  # one wavefront per diagonal row
         rows.append(

@@ -1,20 +1,17 @@
-"""Shared drivers for the set-path vs array-path pipeline comparison.
+"""The program → exact Rd → partition → schedule pipeline, as one call.
 
-The engine-equivalence tests (``tests/core/test_array_pipeline.py``) and the
-scaling benchmark (``benchmarks/bench_scale_partition.py``) both need to run
-the same two pipelines — program → exact Rd → three-set partition → dataflow
-schedule, once on the original set/tuple representation and once on the
-array-native one — and assert they are bit-identical.  Keeping a single copy
-of the drivers and the comparison here guarantees the bench measures exactly
-the pipeline the tests verify.
+The pipeline-equivalence tests (``tests/core/test_array_pipeline.py``) and
+the scaling benchmark (``benchmarks/bench_scale_partition.py``) both run the
+same pipeline and compare it against the per-point tuple reference kept under
+``tests/``.  Keeping the runner and the comparison here guarantees the bench
+measures exactly the pipeline the tests verify.
 
-Both drivers are built on the unified planning facade
-(:func:`repro.core.strategy.plan` with the ``dataflow`` strategy pinned and a
-forced engine), so the equivalence tests and the scaling benchmark exercise
-the exact code path a ``plan()`` consumer gets; the three-set partition —
-which the dataflow schedule itself does not need — is computed alongside the
-plan so the comparison still pins every component of eq. 5.  Caching is
-disabled: these drivers exist to *measure and compare* fresh pipeline runs.
+The runner is the unified planning facade (:func:`repro.core.strategy.plan`
+with the ``dataflow`` strategy pinned), so it exercises the exact code path a
+``plan()`` consumer gets; the three-set partition — which the dataflow
+schedule itself does not need — is computed alongside the plan so the
+comparison still pins every component of eq. 5.  Caching is disabled: the
+runner exists to *measure and compare* fresh pipeline runs.
 """
 
 from __future__ import annotations
@@ -29,11 +26,7 @@ from ..dependence.analysis import DependenceAnalysis
 from ..ir.program import LoopProgram
 from ..isl.relations import FiniteRelation
 
-__all__ = ["PipelineRun", "run_set_pipeline", "run_array_pipeline", "pipeline_mismatches"]
-
-#: The two pinned configurations: the dataflow strategy only, on a forced engine.
-SET_PIPELINE_CONFIG = PlanConfig(engine="set", strategies=("dataflow",))
-ARRAY_PIPELINE_CONFIG = PlanConfig(engine="vector", strategies=("dataflow",))
+__all__ = ["PipelineRun", "run_pipeline", "pipeline_mismatches"]
 
 
 @dataclass(frozen=True)
@@ -46,41 +39,29 @@ class PipelineRun:
     schedule: Schedule
 
 
-def _run_pipeline(prog: LoopProgram, config: PlanConfig) -> PipelineRun:
-    p = plan(prog, config=config, cache=False)
+def run_pipeline(prog: LoopProgram) -> PipelineRun:
+    """Sort join, array Rd, eq. 5 partition and the CSR wavefront schedule."""
+    p = plan(prog, config=PlanConfig(strategies=("dataflow",)), cache=False)
     rd = p.analysis.iteration_dependences
-    space = (
-        p.analysis.iteration_space_points
-        if config.engine == "set"
-        else p.analysis.iteration_space_array
-    )
-    partition = three_set_partition(space, rd, engine=config.engine)
+    partition = three_set_partition(p.analysis.iteration_space_array, rd)
     return PipelineRun(p.analysis, rd, partition, p.schedule)
 
 
-def run_set_pipeline(prog: LoopProgram) -> PipelineRun:
-    """The pre-array-native pipeline: tuples and frozensets end to end."""
-    return _run_pipeline(prog, SET_PIPELINE_CONFIG)
-
-
-def run_array_pipeline(prog: LoopProgram) -> PipelineRun:
-    """The array-native pipeline: sort join, array Rd, CSR wavefront schedule."""
-    return _run_pipeline(prog, ARRAY_PIPELINE_CONFIG)
-
-
-def pipeline_mismatches(set_run: PipelineRun, array_run: PipelineRun) -> List[str]:
-    """Differences between the two pipeline passes (empty list == bit-identical).
+def pipeline_mismatches(reference: PipelineRun, run: PipelineRun) -> List[str]:
+    """Differences between two pipeline passes (empty list == bit-identical).
 
     Compares the combined relation, every three-set component, and the
     schedules phase by phase (names and exact instance sequences).
+    ``reference`` may be any object with the same four attributes whose
+    partition exposes ``p1``/``p2``/``p3``/``w`` as point sets.
     """
     problems: List[str] = []
-    if array_run.rd != set_run.rd:
+    if run.rd != reference.rd:
         problems.append("combined dependence relation differs")
     for name in ("p1", "p2", "p3", "w"):
-        if getattr(array_run.partition, name) != getattr(set_run.partition, name):
+        if getattr(run.partition, name) != getattr(reference.partition, name):
             problems.append(f"three-set component {name.upper()} differs")
-    sched_a, sched_s = array_run.schedule, set_run.schedule
+    sched_a, sched_s = run.schedule, reference.schedule
     if sched_a.num_phases != sched_s.num_phases:
         problems.append(
             f"phase count differs: {sched_a.num_phases} != {sched_s.num_phases}"

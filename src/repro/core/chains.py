@@ -25,18 +25,12 @@ programs, which is precisely the content of Lemma 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from ..isl.lexorder import lex_lt
-from ..isl.relations import (
-    BULK_SIZE_THRESHOLD,
-    FiniteRelation,
-    PointCodec,
-    SuccessorIndex,
-    in_sorted,
-)
+from ..isl.relations import FiniteRelation, in_sorted, lex_keys
 from .partition import ThreeSetPartition
 from .recurrence import AffineRecurrence
 
@@ -99,35 +93,6 @@ def split_into_monotonic_pairs(relation: FiniteRelation) -> List[Tuple[Point, Po
     return sorted(set(out))
 
 
-def _p2_successor_lookup(
-    partition: ThreeSetPartition,
-) -> Tuple[Callable[[Point], List[Point]], List[Point]]:
-    """Successor lookup and chain heads of the P2-internal relation, vectorised.
-
-    Builds a :class:`~repro.isl.relations.SuccessorIndex` over the relation's
-    edges restricted to P2 (sorted-array binary search instead of
-    dict-of-point probing) and finds the heads — P2 points with no predecessor
-    inside P2 — with one bulk membership pass.
-    """
-    src, dst = partition.rd.as_arrays()
-    p2_arr = np.array(sorted(partition.p2), dtype=np.int64).reshape(
-        len(partition.p2), partition.rd.dim_in
-    )
-    codec = PointCodec.for_arrays(src, dst, p2_arr)
-    p2_keys = np.unique(codec.encode(p2_arr))
-    if len(src):
-        src_keys = codec.encode(src)
-        dst_keys = codec.encode(dst)
-        keep = in_sorted(src_keys, p2_keys) & in_sorted(dst_keys, p2_keys)
-        src, dst, dst_keys = src[keep], dst[keep], dst_keys[keep]
-    else:
-        dst_keys = np.zeros(0, dtype=np.int64)
-    index = SuccessorIndex(src, dst, codec)
-    has_pred = in_sorted(p2_keys, np.unique(dst_keys))
-    heads = [tuple(r) for r in codec.decode(p2_keys[~has_pred]).tolist()]
-    return index.successors, heads
-
-
 def chains_from_relation(
     partition: ThreeSetPartition,
 ) -> List[MonotonicChain]:
@@ -140,57 +105,47 @@ def chains_from_relation(
     paths; otherwise (multiple coupled pairs) iterations may appear in more
     than one chain and the caller must fall back to dataflow partitioning.
 
-    The successor lookup switches to sorted-array binary search
-    (:func:`_p2_successor_lookup`) when P2 or the relation reaches
-    :data:`~repro.isl.relations.BULK_SIZE_THRESHOLD`; the chain walk itself is
-    identical for both lookups.
+    The walk runs on P2 indices: points become lexicographic keys
+    (:func:`~repro.isl.relations.lex_keys`), P2's sorted keys index the
+    points, and the P2-internal edges become a CSR successor list sorted by
+    target — so "lexicographically smallest successor" is "first in the
+    list", and no tuple is built until the chains are emitted.
     """
-    p2 = set(partition.p2)
-    succ_of: Optional[Callable[[Point], List[Point]]] = None
-    if p2 and (
-        len(p2) >= BULK_SIZE_THRESHOLD or len(partition.rd) >= BULK_SIZE_THRESHOLD
-    ):
-        try:
-            succ_of, heads = _p2_successor_lookup(partition)
-        except ValueError:
-            succ_of = None  # box too large for int64 keys: dict path below
-    if succ_of is None:
-        internal = partition.rd.restrict(domain=p2, rng=p2)
-        succ = internal.successor_map()
-        pred = internal.predecessor_map()
-        succ_of = lambda p: succ.get(p, [])
-        # Chain heads: P2 iterations with no predecessor inside P2.
-        heads = sorted(p for p in p2 if not pred.get(p))
+    p2_rows = partition.p2_array()
+    src, dst = partition.rd.as_arrays()
+    (p2_keys, src_keys, dst_keys), _ = lex_keys(p2_rows, src, dst)
+    n = len(p2_keys)
+    keep = in_sorted(src_keys, p2_keys) & in_sorted(dst_keys, p2_keys)
+    src_idx = np.searchsorted(p2_keys, src_keys[keep])
+    dst_idx = np.searchsorted(p2_keys, dst_keys[keep])
+    order = np.lexsort((dst_idx, src_idx))
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src_idx, minlength=n), out=offsets[1:])
+    targets: List[int] = dst_idx[order].tolist()
+    bounds: List[int] = offsets.tolist()
+    has_pred = np.zeros(n, dtype=bool)
+    has_pred[dst_idx] = True
+    # Chain heads: P2 iterations with no predecessor inside P2, in lex order.
+    heads: List[int] = np.flatnonzero(~has_pred).tolist()
 
-    chains: List[MonotonicChain] = []
-    covered: Set[Point] = set()
-    for head in heads:
+    chains: List[List[int]] = []
+    covered: Set[int] = set()
+
+    def walk(start: int, skip_covered: bool) -> None:
         # Follow successors greedily; with a functional relation this is the
         # unique path, otherwise we take the lexicographically smallest branch
         # and additional branches start their own chains from their head.
-        chain = [head]
-        on_chain = {head}
-        covered.add(head)
-        current = head
-        while True:
-            nxt = next((q for q in succ_of(current) if q not in on_chain), None)
-            if nxt is None:
-                break
-            chain.append(nxt)
-            on_chain.add(nxt)
-            covered.add(nxt)
-            current = nxt
-        chains.append(MonotonicChain(tuple(chain)))
-    # Any P2 iteration not reached from a head lies on a cycle or a branch;
-    # start an extra chain there so coverage is complete.
-    for p in sorted(p2 - covered):
-        chain = [p]
-        on_chain = {p}
-        covered.add(p)
-        current = p
+        chain = [start]
+        on_chain = {start}
+        covered.add(start)
+        current = start
         while True:
             nxt = next(
-                (q for q in succ_of(current) if q not in on_chain and q not in covered),
+                (
+                    q
+                    for q in targets[bounds[current] : bounds[current + 1]]
+                    if q not in on_chain and not (skip_covered and q in covered)
+                ),
                 None,
             )
             if nxt is None:
@@ -199,8 +154,17 @@ def chains_from_relation(
             on_chain.add(nxt)
             covered.add(nxt)
             current = nxt
-        chains.append(MonotonicChain(tuple(chain)))
-    return chains
+        chains.append(chain)
+
+    for head in heads:
+        walk(head, skip_covered=False)
+    # Any P2 iteration not reached from a head lies on a cycle or a branch;
+    # start an extra chain there so coverage is complete.
+    for p in range(n):
+        if p not in covered:
+            walk(p, skip_covered=True)
+    points = [tuple(r) for r in p2_rows.tolist()]
+    return [MonotonicChain(tuple(points[i] for i in chain)) for chain in chains]
 
 
 def chains_from_recurrence(

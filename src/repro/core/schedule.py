@@ -116,7 +116,7 @@ def validate_csr(level_offsets: np.ndarray, point_rows: np.ndarray) -> Tuple[np.
     """Validate and normalise CSR-style ``(level_offsets, point_rows)`` arrays.
 
     Shared by :meth:`Schedule.from_arrays` and
-    :meth:`~repro.core.dataflow.DataflowPartition.from_arrays`; returns the
+    :class:`~repro.core.dataflow.DataflowPartition`; returns the
     int64-normalised pair or raises :class:`ValueError`.
     """
     offsets = np.asarray(level_offsets, dtype=np.int64)

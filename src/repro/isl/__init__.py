@@ -51,13 +51,12 @@ from .linalg import (
     solve_diophantine,
 )
 from .relations import (
-    BULK_SIZE_THRESHOLD,
     ConvexRelation,
     FiniteRelation,
     PointCodec,
-    SuccessorIndex,
     UnionRelation,
     in_sorted,
+    lex_keys,
 )
 from .sets import UnionSet
 
@@ -74,9 +73,8 @@ __all__ = [
     "UnionRelation",
     "FiniteRelation",
     "PointCodec",
-    "SuccessorIndex",
     "in_sorted",
-    "BULK_SIZE_THRESHOLD",
+    "lex_keys",
     "EnumerationTruncated",
     "RationalMatrix",
     "DiophantineSolution",

@@ -15,32 +15,26 @@ provided, mirroring the two ways the package reasons about dependences:
   invariants are ultimately checked against this exact object.
 
 Besides the pure-Python set representation, :class:`FiniteRelation` exposes an
-**array-backed bulk path** for large relations: :meth:`FiniteRelation.as_arrays`
-materialises the pairs as ``(n, dim)`` int64 numpy arrays, and
-:class:`PointCodec` maps each integer point to a scalar int64 key by
-lexicographic (mixed-radix) row encoding, so that ``dom``/``ran``/``restrict``
-and membership become sorted-array operations (``np.unique``,
-``np.searchsorted``) instead of per-point Python set algebra.
-:class:`SuccessorIndex` provides successor lookup by binary search on the same
-keys.  The vectorised partitioners in :mod:`repro.core` switch to this path
-when the iteration space or the relation exceeds
-:data:`BULK_SIZE_THRESHOLD` points/pairs; both paths are exact and produce
-identical results (the equivalence is covered by tests).
+**array form**: :meth:`FiniteRelation.as_arrays` materialises the pairs as
+``(n, dim)`` int64 numpy arrays, and :func:`lex_keys` maps each integer point
+to a scalar int64 key whose order is the lexicographic point order, so that
+``dom``/``ran``/``restrict`` and membership become sorted-array operations
+(``np.unique``, ``np.searchsorted``) instead of per-point Python set algebra.
+Every partitioner in :mod:`repro.core` runs on this form, at every size.
 
 The two representations are **lazily dual**: a relation built with
 :meth:`FiniteRelation.from_arrays` (the exact analyser's sort-join output,
-the bulk partitioners' restrictions) keeps only its canonical row arrays and
+the partitioners' restrictions) keeps only its canonical row arrays and
 derives the frozenset of tuple pairs the first time a set-path consumer
 touches :attr:`FiniteRelation.pairs`; a set-built relation conversely derives
-its arrays on the first bulk access.  See ARCHITECTURE.md for the
+its arrays on the first array access.  See ARCHITECTURE.md for the
 pipeline-wide picture.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -54,20 +48,14 @@ __all__ = [
     "UnionRelation",
     "FiniteRelation",
     "PointCodec",
-    "SuccessorIndex",
     "in_sorted",
+    "lex_keys",
     "lexsort_rows",
     "readonly_view",
-    "resolve_bulk_engine",
-    "BULK_SIZE_THRESHOLD",
 ]
 
 Point = Tuple[int, ...]
 Pair = Tuple[Point, Point]
-
-#: Spaces/relations at or above this many points/pairs take the array-backed
-#: bulk path; below it the plain set algebra is faster (no numpy conversion).
-BULK_SIZE_THRESHOLD = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +97,7 @@ def in_sorted(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
 
     ``sorted_keys`` must be sorted (duplicates allowed); returns a boolean mask
     parallel to ``keys``.  This is the searchsorted-based membership primitive
-    of the bulk path (O(n log m) instead of per-element hashing).
+    of the array path (O(n log m) instead of per-element hashing).
     """
     keys = np.asarray(keys, dtype=np.int64)
     sorted_keys = np.asarray(sorted_keys, dtype=np.int64)
@@ -204,51 +192,43 @@ class PointCodec:
         return out
 
 
-def resolve_bulk_engine(
-    space, rd: "FiniteRelation", engine: str
-) -> Tuple[Optional[np.ndarray], Optional[List[Point]], Optional[PointCodec]]:
-    """Shared engine dispatch of the dual set/vector partitioners.
+def lex_keys(
+    *arrays: np.ndarray,
+) -> Tuple[List[np.ndarray], Callable[[np.ndarray], np.ndarray]]:
+    """Lexicographic-order int64 keys for the rows of ``(n, dim)`` arrays.
 
-    Normalises ``space`` (an ``(n, dim)`` int array or an iterable of point
-    tuples) and decides whether the vector engine runs:
-
-    * returns ``(space_arr, points, codec)``; a non-``None`` ``codec`` means
-      "run the vector engine on ``space_arr``",
-    * ``codec is None`` means "run the set engine" — on ``points`` when the
-      input was an iterable, else on ``space_arr``'s rows,
-    * ``engine="auto"`` picks the vector engine at
-      :data:`BULK_SIZE_THRESHOLD` points/pairs but falls back to the set
-      engine when the point box overflows int64 keys; ``engine="vector"``
-      re-raises that overflow instead of silently degrading.
+    Returns one key array per input array, plus ``decode`` mapping keys back
+    to rows.  Across all the inputs, equal rows get equal keys and key order
+    is lexicographic row order, so set algebra on points becomes sorted-array
+    algebra on keys.  The keys come from a mixed-radix :class:`PointCodec`
+    when the common bounding box fits in int64; otherwise they are the dense
+    ranks of the distinct rows (``np.unique(axis=0)``).  Either way
+    ``decode`` is only defined on keys of the given rows.  Empty arrays may
+    have any width; the others must share one.
     """
-    if engine not in ("auto", "set", "vector"):
-        raise ValueError(f"unknown engine {engine!r}; use 'auto', 'set' or 'vector'")
-    if isinstance(space, np.ndarray):
-        space_arr: Optional[np.ndarray] = np.asarray(space, dtype=np.int64)
-        if space_arr.ndim != 2:
-            raise ValueError("an array iteration space must be (n, dim)")
-        points: Optional[List[Point]] = None
-        n = len(space_arr)
-    else:
-        points = [tuple(p) for p in space]
-        space_arr = None
-        n = len(points)
-    want_vector = engine == "vector" or (
-        engine == "auto" and max(n, len(rd)) >= BULK_SIZE_THRESHOLD
-    )
-    codec = None
-    if want_vector and n and rd.dim_in == rd.dim_out:
-        if space_arr is None:
-            space_arr = np.array(sorted(set(points)), dtype=np.int64).reshape(
-                -1, len(points[0])
-            )
-        try:
-            codec = PointCodec.for_arrays(space_arr, *rd.as_arrays())
-        except ValueError:
-            if engine == "vector":
-                raise
-            codec = None  # auto: box too large for int64 keys → set engine
-    return space_arr, points, codec
+    arrays = [np.asarray(a, dtype=np.int64) for a in arrays]
+    rows = [a for a in arrays if len(a)]
+    if not rows:
+        dim = arrays[0].shape[-1] if arrays else 0
+        return (
+            [np.zeros(0, dtype=np.int64) for _ in arrays],
+            lambda keys: np.zeros((len(keys), dim), dtype=np.int64),
+        )
+    dim = rows[0].shape[1] if rows[0].ndim == 2 else -1
+    if any(a.ndim != 2 or a.shape[1] != dim for a in rows):
+        raise ValueError("all arrays must be (n, dim) with a common dim")
+    try:
+        codec = PointCodec.for_arrays(*rows)
+    except ValueError:
+        # The box overflows int64: rank the distinct rows instead.
+        distinct, inverse = np.unique(
+            np.concatenate(rows), axis=0, return_inverse=True
+        )
+        splits = np.cumsum([len(a) for a in arrays])[:-1]
+        keys = np.split(inverse.reshape(-1).astype(np.int64), splits)
+        return keys, lambda k: distinct[np.asarray(k, dtype=np.int64)]
+    keys = [codec.encode(a) if len(a) else np.zeros(0, dtype=np.int64) for a in arrays]
+    return keys, codec.decode
 
 
 # ---------------------------------------------------------------------------
@@ -418,16 +398,16 @@ class FiniteRelation:
     The relation is immutable and has **two interchangeable representations**:
 
     * a frozenset of ``(src_tuple, dst_tuple)`` pairs (:attr:`pairs`) — the
-      set path used by the small-problem engines and the validators,
+      set path used by the validators and the symbolic cross-checks,
     * a pair of canonical ``(n, dim)`` int64 arrays (:meth:`as_arrays`) —
-      lexicographically row-sorted and duplicate-free — the bulk path used by
-      the vectorised engines.
+      lexicographically row-sorted and duplicate-free — the form the
+      partitioners run on.
 
     Either representation is derived lazily from the other the first time it
     is asked for and then cached: relations built with :meth:`from_arrays`
     never box their points into Python tuples unless a set-path consumer
     actually touches :attr:`pairs`, and set-built relations only materialise
-    arrays when a bulk consumer calls :meth:`as_arrays`.  Equality, iteration
+    arrays when an array consumer calls :meth:`as_arrays`.  Equality, iteration
     order, hashing and every query are representation-independent.
     """
 
@@ -485,17 +465,12 @@ class FiniteRelation:
             return FiniteRelation(frozenset({((), ())}), 0, 0)
         combined = np.concatenate([src, dst], axis=1)
         # Canonicalise (sort rows by (src, dst), merge duplicates) on scalar
-        # int64 keys when the pair box fits — key order equals lexicographic
-        # row order, and a scalar-key np.unique is an order of magnitude
+        # lexicographic keys: a scalar-key np.unique is an order of magnitude
         # faster than the void-dtype row sort of np.unique(axis=0), which
-        # remains as the overflow fallback.
-        try:
-            codec = PointCodec.for_arrays(combined)
-        except ValueError:
-            combined = np.unique(combined, axis=0)
-        else:
-            _, first = np.unique(codec.encode(combined), return_index=True)
-            combined = combined[first]
+        # lex_keys only falls back to when the pair box overflows int64.
+        (keys,), _ = lex_keys(combined)
+        _, first = np.unique(keys, return_index=True)
+        combined = combined[first]
         return FiniteRelation._from_canonical_arrays(
             np.ascontiguousarray(combined[:, :dim_in]),
             np.ascontiguousarray(combined[:, dim_in:]),
@@ -534,13 +509,13 @@ class FiniteRelation:
             f"dim_out={self.dim_out})"
         )
 
-    # -- array-backed bulk path ----------------------------------------------
+    # -- array form -----------------------------------------------------------
 
     def as_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """The pairs as ``(src, dst)`` int64 arrays, sorted by (src, dst).
 
         The arrays are computed once and cached on the instance (the relation
-        is immutable); they are the entry point of the vectorised bulk path.
+        is immutable); they are the entry point of the array path.
         """
         if self._arrays is None:
             pairs = sorted(self.pairs)
@@ -629,24 +604,18 @@ class FiniteRelation:
         )
 
     def union(self, other: "FiniteRelation") -> "FiniteRelation":
-        if self.is_empty() and other.is_empty():
-            return FiniteRelation.from_pairs(frozenset())
-        if self.is_empty():
-            return other
         if other.is_empty():
             return self
-        if (self.dim_in, self.dim_out) == (other.dim_in, other.dim_out) and (
-            self._pairs is None
-            or other._pairs is None
-            or max(len(self), len(other)) >= BULK_SIZE_THRESHOLD
-        ):
-            # Array path: concatenate and re-canonicalise without tuple boxing.
-            s1, d1 = self.as_arrays()
-            s2, d2 = other.as_arrays()
-            return FiniteRelation.from_arrays(
-                np.concatenate([s1, s2]), np.concatenate([d1, d2])
-            )
-        return FiniteRelation.from_pairs(self.pairs | other.pairs)
+        if self.is_empty():
+            return other
+        if (self.dim_in, self.dim_out) != (other.dim_in, other.dim_out):
+            raise ValueError("cannot union relations of different dimensions")
+        # Concatenate and re-canonicalise without tuple boxing.
+        s1, d1 = self.as_arrays()
+        s2, d2 = other.as_arrays()
+        return FiniteRelation.from_arrays(
+            np.concatenate([s1, s2]), np.concatenate([d1, d2])
+        )
 
     def restrict(self, domain: Optional[Set[Point]] = None, rng: Optional[Set[Point]] = None) -> "FiniteRelation":
         """Keep only pairs whose source is in ``domain`` and target in ``rng``."""
@@ -729,34 +698,20 @@ class FiniteRelation:
         """Re-orient every pair so the source lexicographically precedes the target.
 
         Self-pairs (``a == b``) are dropped: a dependence of an iteration on
-        itself does not constrain the parallel schedule.  Array-backed
-        relations and relations with at least :data:`BULK_SIZE_THRESHOLD`
-        pairs are re-oriented on the array path: key order equals
-        lexicographic order, so the comparison and the swap are a handful of
-        vectorised operations (and the result stays array-backed).
+        itself does not constrain the parallel schedule.  Key order equals
+        lexicographic order (:func:`lex_keys`), so the comparison and the
+        swap are a handful of vectorised operations and the result stays
+        array-backed.
         """
-        if (
-            self._pairs is None or len(self) >= BULK_SIZE_THRESHOLD
-        ) and self.dim_in == self.dim_out:
-            src, dst = self.as_arrays()
-            try:
-                codec = PointCodec.for_arrays(src, dst)
-            except ValueError:
-                codec = None  # box overflows int64 keys: scalar path below
-            if codec is not None:
-                src_keys = codec.encode(src)
-                dst_keys = codec.encode(dst)
-                keep = src_keys != dst_keys
-                swap = src_keys > dst_keys
-                fwd_src = np.where(swap[:, None], dst, src)[keep]
-                fwd_dst = np.where(swap[:, None], src, dst)[keep]
-                return FiniteRelation.from_arrays(fwd_src, fwd_dst)
-        pairs = set()
-        for a, b in self.pairs:
-            if a == b:
-                continue
-            pairs.add((a, b) if lex_lt(a, b) else (b, a))
-        return FiniteRelation(frozenset(pairs), self.dim_in, self.dim_out)
+        if self.dim_in != self.dim_out:
+            raise ValueError("oriented_forward requires dim_in == dim_out")
+        src, dst = self.as_arrays()
+        (src_keys, dst_keys), _ = lex_keys(src, dst)
+        keep = src_keys != dst_keys
+        swap = (src_keys > dst_keys)[:, None]
+        return FiniteRelation.from_arrays(
+            np.where(swap, dst, src)[keep], np.where(swap, src, dst)[keep]
+        )
 
     def distances(self) -> Set[Point]:
         """The set of distance vectors ``target - source``."""
@@ -768,53 +723,3 @@ class FiniteRelation:
     def __str__(self) -> str:
         items = ", ".join(f"{a}->{b}" for a, b in sorted(self.pairs))
         return f"{{ {items} }}"
-
-
-class SuccessorIndex:
-    """Successor lookup by binary search on sorted lexicographic keys.
-
-    Replaces dict-of-point probing (:meth:`FiniteRelation.successor_map`) for
-    large relations: construction is a vectorised argsort over the encoded
-    edges (no per-pair tuple hashing), while the lookup state is converted to
-    plain Python lists once so each probe costs a few integer operations and a
-    ``bisect`` — sequential chain walks must not pay numpy per-call overhead.
-    Successor lists come back lexicographically sorted, exactly like the
-    dict-based maps.
-    """
-
-    def __init__(self, src: np.ndarray, dst: np.ndarray, codec: PointCodec):
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
-        src_keys = codec.encode(src)
-        dst_keys = codec.encode(dst)
-        order = np.lexsort((dst_keys, src_keys))
-        self._keys: List[int] = src_keys[order].tolist()
-        self._dsts: List[Point] = [tuple(r) for r in dst[order].tolist()]
-        self._lo: List[int] = codec.lo.tolist()
-        self._extents: List[int] = codec.extents.tolist()
-        self._strides: List[int] = codec.strides.tolist()
-
-    @staticmethod
-    def from_relation(
-        relation: "FiniteRelation", codec: Optional[PointCodec] = None
-    ) -> "SuccessorIndex":
-        src, dst = relation.as_arrays()
-        if codec is None:
-            codec = relation.codec()
-        return SuccessorIndex(src, dst, codec)
-
-    def __len__(self) -> int:
-        return len(self._keys)
-
-    def successors(self, point: Sequence[int]) -> List[Point]:
-        """Sorted successors of one point (empty for points with no out-edges)."""
-        key = 0
-        for x, lo, extent, stride in zip(point, self._lo, self._extents, self._strides):
-            digit = x - lo
-            if digit < 0 or digit >= extent:
-                # Outside the codec's box ⇒ cannot be a source of the relation.
-                return []
-            key += digit * stride
-        start = bisect.bisect_left(self._keys, key)
-        stop = bisect.bisect_right(self._keys, key, start)
-        return self._dsts[start:stop]

@@ -69,8 +69,9 @@ __all__ = [
 #: First bytes of every frame — a cheap "is this even our protocol" check.
 MAGIC = b"RPLN"
 
-#: Bumped on any incompatible change to the frame layout or header schema.
-PROTOCOL_VERSION = 1
+#: Bumped on any incompatible change to the frame layout or header schema
+#: (2: the ``PlanConfig`` header dropped its engine and bulk-threshold fields).
+PROTOCOL_VERSION = 2
 
 #: magic, version, kind, header length.
 _PRELUDE = struct.Struct(">4sHBI")
@@ -78,6 +79,14 @@ _PRELUDE = struct.Struct(">4sHBI")
 #: Refuse absurd headers before allocating for them (a stray HTTP request
 #: hitting the port must not look like a 1 GiB header).
 _MAX_HEADER_BYTES = 64 * 1024 * 1024
+
+#: Refuse frames whose payload specs declare more than this many bytes in
+#: total, before reading any payload.
+_MAX_PAYLOAD_BYTES = 1024 * 1024 * 1024
+
+#: Payloads are read in chunks of at most this size, so memory grows with the
+#: bytes actually received, not with the size a header declares.
+_READ_CHUNK_BYTES = 1024 * 1024
 
 
 class WireError(RuntimeError):
@@ -138,7 +147,7 @@ def _read_exactly(stream: IO[bytes], n: int) -> bytes:
     chunks: List[bytes] = []
     remaining = n
     while remaining:
-        chunk = stream.read(remaining)
+        chunk = stream.read(min(remaining, _READ_CHUNK_BYTES))
         if not chunk:
             raise EOFError(f"peer closed mid-frame ({remaining} bytes short)")
         chunks.append(chunk)
@@ -146,10 +155,33 @@ def _read_exactly(stream: IO[bytes], n: int) -> bytes:
     return b"".join(chunks)
 
 
+def _payload_sizes(header: Any) -> List[int]:
+    """The declared payload sizes of a decoded header, validated."""
+    if not isinstance(header, dict):
+        raise WireError(f"frame header must be a JSON object, got {type(header).__name__}")
+    specs = header.get("arrays", [])
+    if not isinstance(specs, list):
+        raise WireError("frame header 'arrays' must be a list")
+    sizes: List[int] = []
+    for spec in specs:
+        nbytes = spec.get("nbytes") if isinstance(spec, dict) else None
+        if isinstance(nbytes, bool) or not isinstance(nbytes, int) or nbytes < 0:
+            raise WireError(f"payload spec has a bad nbytes: {nbytes!r}")
+        sizes.append(nbytes)
+    if sum(sizes) > _MAX_PAYLOAD_BYTES:
+        raise WireError(
+            f"declared payload total {sum(sizes)} bytes exceeds {_MAX_PAYLOAD_BYTES}"
+        )
+    return sizes
+
+
 def read_frame(stream: IO[bytes]) -> Tuple[FrameKind, Dict[str, Any], List[bytes]]:
     """Read one frame; raises :class:`EOFError` on a cleanly closed stream.
 
-    The payload bodies are returned in header-spec order; use
+    A malformed header — not a JSON object, a payload size that is not a
+    non-negative integer, or a declared payload total above
+    ``_MAX_PAYLOAD_BYTES`` — raises :class:`WireError` before any payload is
+    read.  The payload bodies are returned in header-spec order; use
     :func:`arrays_from_payloads` to rebuild the ndarrays.
     """
     prelude = stream.read(_PRELUDE.size)
@@ -172,10 +204,7 @@ def read_frame(stream: IO[bytes]) -> Tuple[FrameKind, Dict[str, Any], List[bytes
         header = json.loads(_read_exactly(stream, header_len).decode("utf-8"))
     except (ValueError, UnicodeDecodeError) as exc:
         raise WireError(f"undecodable frame header: {exc}") from None
-    payloads = [
-        _read_exactly(stream, int(spec["nbytes"]))
-        for spec in header.get("arrays", [])
-    ]
+    payloads = [_read_exactly(stream, n) for n in _payload_sizes(header)]
     return kind, header, payloads
 
 
@@ -375,8 +404,6 @@ def plan_config_to_dict(cfg: Optional[PlanConfig]) -> Optional[Dict[str, Any]]:
     if cfg is None:
         return None
     return {
-        "engine": cfg.engine,
-        "bulk_size_threshold": cfg.bulk_size_threshold,
         "force_dataflow": cfg.force_dataflow,
         "strategies": list(cfg.strategies) if cfg.strategies is not None else None,
         "selector": cfg.selector,
@@ -389,8 +416,6 @@ def plan_config_from_dict(d: Optional[Dict[str, Any]]) -> Optional[PlanConfig]:
     if d is None:
         return None
     return PlanConfig(
-        engine=d["engine"],
-        bulk_size_threshold=d["bulk_size_threshold"],
         force_dataflow=bool(d["force_dataflow"]),
         strategies=tuple(d["strategies"]) if d["strategies"] is not None else None,
         selector=d["selector"],

@@ -1,21 +1,17 @@
-"""End-to-end equivalence of the array-native pipeline with the set pipeline.
+"""End-to-end equivalence of the array pipeline with the tuple reference.
 
-PR 1 proved the partitioning *engines* equivalent (test_bulk_equivalence);
-this module proves the whole pipeline equivalent: program → exact Rd
-(hash join vs sort join) → three-set / dataflow partition → schedule
-(tuple phases vs :class:`ArrayPhase`) → execution.  For every example
-workload both paths must produce bit-identical P1/P2/P3/W sets, wavefronts,
-per-phase instances and :func:`validate_schedule` results.
+``test_bulk_equivalence`` pins the partitioners against the reference; this
+module pins the whole pipeline: program → exact Rd (sort join vs the
+reference's hash join) → three-set / dataflow partition → schedule
+(:class:`ArrayPhase` vs the reference's tuple phases) → execution.  For
+every example workload both must produce bit-identical P1/P2/P3/W sets,
+wavefronts, per-phase instances and :func:`validate_schedule` results.
 """
 
 import numpy as np
 import pytest
 
-from repro.analysis.pipelines import (
-    pipeline_mismatches,
-    run_array_pipeline,
-    run_set_pipeline,
-)
+from repro.analysis.pipelines import pipeline_mismatches, run_pipeline
 from repro.core.dataflow import DataflowPartition, dataflow_partition, dataflow_schedule
 from repro.core.partition import three_set_partition
 from repro.core.partitioner import recurrence_chain_partition
@@ -26,6 +22,7 @@ from repro.runtime.executor import execute_schedule, execute_sequential, validat
 from repro.runtime.threaded import execute_schedule_threaded
 from repro.workloads.examples import example2_loop, figure1_loop, figure2_loop
 from repro.workloads.synthetic import large_triangular_loop, large_uniform_loop
+from tuple_reference import ref_dataflow, ref_pipeline, ref_schedule
 
 PROGRAMS = [
     figure1_loop(12, 12),
@@ -40,11 +37,11 @@ PROGRAM_IDS = [p.name for p in PROGRAMS]
 class TestPipelineEquivalence:
     @pytest.mark.parametrize("prog", PROGRAMS, ids=PROGRAM_IDS)
     def test_pipelines_bit_identical(self, prog):
-        set_run = run_set_pipeline(prog)
-        array_run = run_array_pipeline(prog)
+        set_run = ref_pipeline(prog)
+        array_run = run_pipeline(prog)
         assert pipeline_mismatches(set_run, array_run) == []
-        assert array_run.partition == set_run.partition
-        assert array_run.partition.counts() == set_run.partition.counts()
+        assert array_run.partition.space == set_run.partition.space
+        assert array_run.partition.rd == set_run.partition.rd
         assert array_run.partition.is_complete()
         assert array_run.partition.respects_phase_order()
         for pa, ps in zip(array_run.schedule.phases, set_run.schedule.phases):
@@ -54,15 +51,14 @@ class TestPipelineEquivalence:
     def test_wavefronts_identical(self, prog):
         analysis = DependenceAnalysis(prog, {})
         rd = analysis.iteration_dependences
-        waves_s = dataflow_partition(analysis.iteration_space_points, rd, engine="set")
-        waves_a = dataflow_partition(analysis.iteration_space_array, rd, engine="vector")
-        assert waves_a.wavefronts == waves_s.wavefronts
-        assert waves_a == waves_s
+        waves = dataflow_partition(analysis.iteration_space_array, rd)
+        assert waves.wavefronts == ref_dataflow(analysis.iteration_space_points, rd)
+        assert waves == dataflow_partition(analysis.iteration_space_points, rd)
 
     @pytest.mark.parametrize("prog", PROGRAMS, ids=PROGRAM_IDS)
     def test_validation_results_identical(self, prog):
-        set_run = run_set_pipeline(prog)
-        array_run = run_array_pipeline(prog)
+        set_run = ref_pipeline(prog)
+        array_run = run_pipeline(prog)
         rep_s = validate_schedule(prog, set_run.schedule, {}, dependences=set_run.rd)
         rep_a = validate_schedule(prog, array_run.schedule, {}, dependences=array_run.rd)
         assert rep_a.ok and rep_s.ok
@@ -80,7 +76,7 @@ class TestPipelineEquivalence:
 
     @pytest.mark.parametrize("prog", PROGRAMS, ids=PROGRAM_IDS)
     def test_threaded_execution_matches_sequential(self, prog):
-        sched_a = run_array_pipeline(prog).schedule
+        sched_a = run_pipeline(prog).schedule
         assert any(isinstance(p, ArrayPhase) for p in sched_a.phases)
         run = execute_schedule_threaded(prog, sched_a, n_threads=3)
         reference = execute_sequential(prog, {})
@@ -92,13 +88,11 @@ class TestPipelineEquivalence:
 class TestArrayBackedPartitionViews:
     def test_vector_partition_stays_lazy_for_array_consumers(self):
         prog = large_uniform_loop(20, 15)
-        analysis = DependenceAnalysis(prog, {}, engine="vector")
+        analysis = DependenceAnalysis(prog, {})
         rd = analysis.iteration_dependences
-        part = three_set_partition(analysis.iteration_space_array, rd, engine="vector")
-        assert part.array_backed
+        part = three_set_partition(analysis.iteration_space_array, rd)
         assert part._sets == {}  # nothing materialised yet
-        sched = dataflow_partition(analysis.iteration_space_array, rd, engine="vector")
-        assert sched.array_backed
+        sched = dataflow_partition(analysis.iteration_space_array, rd)
         assert sched._wavefronts is None
         # Touching a set view materialises only that view.
         _ = part.p1
@@ -108,41 +102,40 @@ class TestArrayBackedPartitionViews:
         prog = large_triangular_loop(12)
         analysis = DependenceAnalysis(prog, {})
         rd = analysis.iteration_dependences
-        set_part = dataflow_partition(analysis.iteration_space_points, rd, engine="set")
-        vec_part = dataflow_partition(analysis.iteration_space_array, rd, engine="vector")
-        off_s, rows_s = set_part.level_arrays()
-        off_v, rows_v = vec_part.level_arrays()
-        assert np.array_equal(off_s, off_v)
-        assert np.array_equal(rows_s, rows_v)
-        assert set_part.level_sizes() == vec_part.level_sizes()
-        rebuilt = DataflowPartition.from_arrays(off_v, rows_v, rd)
-        assert rebuilt.wavefronts == set_part.wavefronts
-        assert rebuilt == set_part
+        reference = ref_dataflow(analysis.iteration_space_points, rd)
+        part = dataflow_partition(analysis.iteration_space_array, rd)
+        offsets, rows = part.level_arrays()
+        assert part.level_sizes() == [len(w) for w in reference]
+        # Level-major rows, lexicographic inside a level.
+        expected = [p for wave in reference for p in sorted(wave)]
+        assert list(map(tuple, rows.tolist())) == expected
+        rebuilt = DataflowPartition(offsets, rows, rd)
+        assert rebuilt.wavefronts == reference
+        assert rebuilt == part
 
     def test_level_arrays_with_empty_leading_wavefront(self):
-        # A constructor-built partition may hold empty waves; the dimension
-        # must come from the first non-empty one (or the relation).
+        # A partition may hold empty waves; the frozenset view keeps them.
         rd = FiniteRelation(frozenset(), 2, 2)
-        part = DataflowPartition((frozenset(), frozenset({(1, 2)})), rd)
-        offsets, rows = part.level_arrays()
-        assert offsets.tolist() == [0, 0, 1]
-        assert rows.tolist() == [[1, 2]]
-        all_empty = DataflowPartition((frozenset(),), rd)
-        offsets, rows = all_empty.level_arrays()
-        assert offsets.tolist() == [0, 0] and rows.shape == (0, 2)
+        rows = np.array([[1, 2]], dtype=np.int64)
+        part = DataflowPartition(np.array([0, 0, 1]), rows, rd)
+        assert part.wavefronts == (frozenset(), frozenset({(1, 2)}))
+        assert part.level_sizes() == [0, 1]
+        all_empty = DataflowPartition(np.array([0, 0]), np.zeros((0, 2)), rd)
+        assert all_empty.wavefronts == (frozenset(),)
+        assert all_empty.level_arrays()[1].shape == (0, 2)
 
     def test_from_arrays_validates_offsets(self):
         rd = DependenceAnalysis(figure2_loop(6), {}).iteration_dependences
         rows = np.array([[1], [2], [3]], dtype=np.int64)
         with pytest.raises(ValueError):
-            DataflowPartition.from_arrays(np.array([0, 2]), rows, rd)
+            DataflowPartition(np.array([0, 2]), rows, rd)
         with pytest.raises(ValueError):
-            DataflowPartition.from_arrays(np.array([1, 3]), rows, rd)
+            DataflowPartition(np.array([1, 3]), rows, rd)
 
 
 class TestRecurrenceChainArrayPhases:
     def test_large_single_pair_program_gets_array_doall_phases(self):
-        prog = large_uniform_loop(80, 80)  # 6400 points: above the threshold
+        prog = large_uniform_loop(80, 80)
         result = recurrence_chain_partition(prog)
         assert result.scheme == "recurrence-chains"
         kinds = [type(p) for p in result.schedule.phases]
@@ -155,10 +148,11 @@ class TestRecurrenceChainArrayPhases:
         )
         assert report.ok and report.respects_dependences
 
-    def test_small_program_keeps_tuple_phases_and_matches(self):
+    def test_small_program_gets_array_phases(self):
         prog = figure1_loop(10, 10)
         result = recurrence_chain_partition(prog)
-        assert all(isinstance(p, ParallelPhase) for p in result.schedule.phases)
+        kinds = [type(p) for p in result.schedule.phases]
+        assert kinds == [ArrayPhase, ParallelPhase, ArrayPhase]
         report = validate_schedule(
             prog,
             result.schedule,
@@ -216,12 +210,11 @@ class TestScheduleFromArrays:
         prog = figure2_loop(20)
         analysis = DependenceAnalysis(prog, {})
         rd = analysis.iteration_dependences
-        arr_sched = dataflow_schedule(
-            prog.name, analysis.iteration_space_array, rd, engine="vector"
+        arr_sched = dataflow_schedule(prog.name, analysis.iteration_space_array, rd)
+        tup_sched = ref_schedule(
+            prog.name, ref_dataflow(analysis.iteration_space_points, rd)
         )
-        tup_sched = dataflow_schedule(
-            prog.name, analysis.iteration_space_points, rd, engine="set"
-        )
+        assert isinstance(tup_sched.phases[1], ParallelPhase)
         mixed = Schedule(
             "mixed", (arr_sched.phases[0],) + tup_sched.phases[1:], {}
         )
@@ -232,18 +225,8 @@ class TestScheduleFromArrays:
 
 
 class TestArrayBackedIsConstructionFact:
-    def test_accessors_do_not_flip_array_backed(self):
-        prog = figure2_loop(20)
-        analysis = DependenceAnalysis(prog, {})
-        rd = analysis.iteration_dependences
-        part = three_set_partition(analysis.iteration_space_points, rd, engine="set")
-        assert not part.array_backed
-        part.p1_array(), part.p3_array()  # inspection must not change behavior
-        assert not part.array_backed
-        waves = dataflow_partition(analysis.iteration_space_points, rd, engine="set")
-        assert not waves.array_backed
-        waves.level_arrays()
-        assert not waves.array_backed
+    """Facts fixed when an array container is built: deduplicated space
+    rows, read-only backing arrays."""
 
     def test_uniformity_ignores_duplicate_space_rows(self):
         from repro.dependence.distance import is_uniform_relation
@@ -260,16 +243,12 @@ class TestArrayBackedIsConstructionFact:
         prog = figure2_loop(20)
         analysis = DependenceAnalysis(prog, {})
         rd = analysis.iteration_dependences
-        sched = dataflow_schedule(
-            prog.name, analysis.iteration_space_array, rd, engine="vector"
-        )
+        sched = dataflow_schedule(prog.name, analysis.iteration_space_array, rd)
         phase = sched.phases[0]
         _ = phase.units  # materialise the tuple view
         with pytest.raises(ValueError):
             phase.points[0, 0] = 999
-        part = three_set_partition(
-            analysis.iteration_space_array, rd, engine="vector"
-        )
+        part = three_set_partition(analysis.iteration_space_array, rd)
         with pytest.raises(ValueError):
             part.p1_array()[0, 0] = 999
         src, dst = rd.as_arrays()

@@ -1,19 +1,20 @@
-"""Equivalence of the vectorized partitioning engine with the set-based one.
+"""Equivalence of the array partitioners with the per-point tuple reference.
 
-The array-backed engine (lexicographic int64 keys, sorted-array membership,
-Kahn peeling) must produce bit-identical partitions and wavefronts on every
-example workload of the paper — perfect nests at iteration level and
-imperfect nests at statement level — plus the synthetic scaling case.
+The partitioners (lexicographic int64 keys, sorted-array membership, Kahn
+peeling) must produce bit-identical partitions and wavefronts to the set
+algebra of ``tests/tuple_reference.py`` on every example workload of the
+paper — perfect nests at iteration level and imperfect nests at statement
+level — plus the synthetic scaling case.
 """
 
 import numpy as np
 import pytest
 
-import repro.core.chains as chains_module
 from repro.core.chains import chains_from_relation
 from repro.core.dataflow import dataflow_partition
 from repro.core.partition import three_set_partition
 from repro.core.statement import build_statement_space
+from repro.core.strategy import PlanConfig
 from repro.dependence import DependenceAnalysis
 from repro.isl.relations import FiniteRelation
 from repro.workloads.examples import (
@@ -24,6 +25,7 @@ from repro.workloads.examples import (
     figure2_loop,
 )
 from repro.workloads.synthetic import scale_partition_case
+from tuple_reference import ref_chains, ref_dataflow, ref_three_set
 
 
 def _iteration_level(prog):
@@ -52,58 +54,56 @@ CASE_IDS = [name for name, _, _ in CASES]
 class TestEngineEquivalence:
     @pytest.mark.parametrize("name,space,rd", CASES, ids=CASE_IDS)
     def test_three_set_partition_identical(self, name, space, rd):
-        set_result = three_set_partition(space, rd, engine="set")
-        vec_result = three_set_partition(space, rd, engine="vector")
-        assert vec_result.space == set_result.space
-        assert vec_result.p1 == set_result.p1
-        assert vec_result.p2 == set_result.p2
-        assert vec_result.p3 == set_result.p3
-        assert vec_result.w == set_result.w
-        assert vec_result.rd == set_result.rd
-        assert vec_result.is_complete() and vec_result.respects_phase_order()
+        reference = ref_three_set(space, rd)
+        result = three_set_partition(space, rd)
+        assert result.space == reference.space
+        assert result.p1 == reference.p1
+        assert result.p2 == reference.p2
+        assert result.p3 == reference.p3
+        assert result.w == reference.w
+        assert result.rd == reference.rd
+        assert result.is_complete() and result.respects_phase_order()
 
     @pytest.mark.parametrize("name,space,rd", CASES, ids=CASE_IDS)
     def test_dataflow_wavefronts_identical(self, name, space, rd):
-        set_result = dataflow_partition(space, rd, engine="set")
-        vec_result = dataflow_partition(space, rd, engine="vector")
-        assert vec_result.wavefronts == set_result.wavefronts
-        assert vec_result.is_complete(space)
-        assert vec_result.respects_dependences()
+        result = dataflow_partition(space, rd)
+        assert result.wavefronts == ref_dataflow(space, rd)
+        assert result.is_complete(space)
+        assert result.respects_dependences()
 
     def test_array_space_input_equals_tuple_input(self):
         space, rd = scale_partition_case(15, 12)
         tuples = [tuple(p) for p in space.tolist()]
-        for engine in ("set", "vector"):
-            from_array = three_set_partition(space, rd, engine=engine)
-            from_tuples = three_set_partition(tuples, rd, engine=engine)
-            assert from_array == from_tuples
-            assert (
-                dataflow_partition(space, rd, engine=engine).wavefronts
-                == dataflow_partition(tuples, rd, engine=engine).wavefronts
-            )
+        assert three_set_partition(space, rd) == three_set_partition(tuples, rd)
+        assert (
+            dataflow_partition(space, rd).wavefronts
+            == dataflow_partition(tuples, rd).wavefronts
+        )
 
     def test_unknown_engine_rejected(self):
-        space, rd = scale_partition_case(4, 4)
-        with pytest.raises(ValueError):
-            three_set_partition(space, rd, engine="simd")
-        with pytest.raises(ValueError):
-            dataflow_partition(space, rd, engine="simd")
+        """Only the array engine is left: any other engine name is refused,
+        naming the removal."""
+        prog = figure2_loop(6)
+        for engine in ("set", "vector", "simd"):
+            with pytest.raises(ValueError, match="removed"):
+                PlanConfig(engine=engine)
+            with pytest.raises(ValueError, match="removed"):
+                DependenceAnalysis(prog, {}, engine=engine)
+        assert PlanConfig(engine="auto") == PlanConfig()
 
-    def test_auto_falls_back_when_keys_overflow(self, monkeypatch):
-        """Coordinates too large for int64 keys: auto uses the set engine —
-        for every space input form — while forced vector raises."""
-        import repro.isl.relations as relations_module
-
-        monkeypatch.setattr(relations_module, "BULK_SIZE_THRESHOLD", 1)
+    def test_key_overflow_partitions_on_dense_ranks(self):
+        """Coordinates too large for mixed-radix int64 keys: the partitioners
+        key the rows by dense rank instead — for every space input form —
+        and give the reference's P1 and wavefront count."""
         space = [(0, 0), (2**40, 2**40), (1, 1)]
         rd = FiniteRelation.from_pairs([((0, 0), (2**40, 2**40))])
         for space_input in (space, np.array(space, dtype=np.int64)):
             partition = three_set_partition(space_input, rd)
-            assert partition.p1 == {(0, 0), (1, 1)}
+            assert partition.p1 == {(0, 0), (1, 1)} == ref_three_set(space, rd).p1
+            assert partition.p3 == {(2**40, 2**40)}
             flow = dataflow_partition(space_input, rd)
-            assert flow.num_steps == 2
-        with pytest.raises(ValueError, match="too large"):
-            three_set_partition(space, rd, engine="vector")
+            assert flow.num_steps == 2 == len(ref_dataflow(space, rd))
+            assert flow.wavefronts == ref_dataflow(space, rd)
 
 
 class TestVectorStallPaths:
@@ -111,7 +111,7 @@ class TestVectorStallPaths:
         space = [(1,), (2,)]
         rd = FiniteRelation.from_pairs([((1,), (2,)), ((2,), (1,))])
         with pytest.raises(RuntimeError, match="stalled"):
-            dataflow_partition(space, rd, engine="vector")
+            dataflow_partition(space, rd)
 
     def test_partial_cycle_detected_after_progress(self):
         # an acyclic prefix drains, then the cycle stalls the peeling
@@ -120,29 +120,40 @@ class TestVectorStallPaths:
             [((1,), (2,)), ((2,), (3,)), ((3,), (2,))]
         )
         with pytest.raises(RuntimeError, match="stalled"):
-            dataflow_partition(space, rd, engine="vector")
+            dataflow_partition(space, rd)
 
     def test_max_steps_guard(self):
         space = [(i,) for i in range(1, 50)]
         rd = FiniteRelation.from_pairs([((i,), (i + 1,)) for i in range(1, 49)])
         with pytest.raises(RuntimeError, match="did not terminate"):
-            dataflow_partition(space, rd, max_steps=5, engine="vector")
+            dataflow_partition(space, rd, max_steps=5)
 
     def test_self_loop_stalls(self):
         space = [(1,), (2,)]
         rd = FiniteRelation.from_pairs([((2,), (2,))])
         with pytest.raises(RuntimeError, match="stalled"):
-            dataflow_partition(space, rd, engine="vector")
+            dataflow_partition(space, rd)
 
 
 class TestChainsBulkLookup:
-    def test_sorted_array_lookup_matches_dict_lookup(self, monkeypatch):
+    def test_sorted_array_lookup_matches_dict_lookup(self):
+        """The CSR chain walk equals the reference's dict-successor walk."""
         prog = figure1_loop(25, 25)
         analysis = DependenceAnalysis(prog, {})
         partition = three_set_partition(
-            analysis.iteration_space_points, analysis.iteration_dependences
+            analysis.iteration_space_array, analysis.iteration_dependences
         )
-        baseline = chains_from_relation(partition)
-        monkeypatch.setattr(chains_module, "BULK_SIZE_THRESHOLD", 1)
-        bulk = chains_from_relation(partition)
-        assert [c.points for c in bulk] == [c.points for c in baseline]
+        walked = chains_from_relation(partition)
+        assert [c.points for c in walked] == ref_chains(partition.p2, partition.rd)
+
+    def test_overflowing_keys_walk_like_the_reference(self):
+        big = 2**40
+        rd = FiniteRelation.from_pairs(
+            [((0, 0), (1, big)), ((1, big), (2, 0)), ((2, 0), (3, big))]
+        )
+        space = [(0, 0), (1, big), (2, 0), (3, big), (4, 4)]
+        partition = three_set_partition(space, rd)
+        assert partition.p2 == {(1, big), (2, 0)}
+        walked = chains_from_relation(partition)
+        assert [c.points for c in walked] == ref_chains(partition.p2, partition.rd)
+        assert [c.points for c in walked] == [((1, big), (2, 0))]

@@ -191,33 +191,23 @@ class TestBaselineStrategies:
 
 class TestPlanConfig:
     def test_engine_validation(self):
-        with pytest.raises(ValueError):
-            PlanConfig(engine="banana")
-        with pytest.raises(ValueError):
-            PlanConfig(bulk_size_threshold=0)
+        for engine in ("banana", "set", "vector"):
+            with pytest.raises(ValueError, match="removed"):
+                PlanConfig(engine=engine)
+        with pytest.raises(TypeError):
+            PlanConfig(bulk_size_threshold=1)
 
     def test_engines_produce_identical_schedules(self):
-        set_plan = plan(
-            figure1_loop(10, 10), config=PlanConfig(engine="set"), cache=False
-        )
-        vec_plan = plan(
-            figure1_loop(10, 10), config=PlanConfig(engine="vector"), cache=False
-        )
-        assert schedule_mismatches(set_plan.schedule, vec_plan.schedule) == []
+        """The chain plan's DOALL phases hold exactly the reference's P1/P3."""
+        from tuple_reference import ref_rd, ref_three_set
 
-    def test_bulk_threshold_override_is_scoped(self):
-        from repro.isl import relations
-
-        before = relations.BULK_SIZE_THRESHOLD
-        p = plan(
-            figure1_loop(10, 10),
-            config=PlanConfig(bulk_size_threshold=1),
-            cache=False,
-        )
-        # threshold=1 forces the vector engine even on this 100-point space …
-        assert p.partition.array_backed
-        # … and the global constant is restored afterwards.
-        assert relations.BULK_SIZE_THRESHOLD == before
+        prog = figure1_loop(10, 10)
+        p = plan(prog, config=PlanConfig(), cache=False)
+        reference = ref_three_set(p.analysis.iteration_space_points, ref_rd(prog))
+        p1, chains, p3 = p.schedule.phases
+        assert [pt for _, pt in p1.instances()] == sorted(reference.p1)
+        assert [pt for _, pt in p3.instances()] == sorted(reference.p3)
+        assert {pt for _, pt in chains.instances()} == reference.p2
 
     def test_strategy_order_is_honoured(self):
         p = plan(

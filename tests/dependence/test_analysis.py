@@ -10,6 +10,7 @@ from repro.workloads.examples import (
     figure1_loop,
     figure2_loop,
 )
+from tuple_reference import ref_is_uniform, ref_rd
 
 
 class TestDriver:
@@ -91,12 +92,13 @@ class TestSummaryErrorHandling:
             analysis.summary()
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            DependenceAnalysis(figure1_loop(6, 6), {}, engine="gpu")
+        for engine in ("gpu", "set", "vector"):
+            with pytest.raises(ValueError, match="removed"):
+                DependenceAnalysis(figure1_loop(6, 6), {}, engine=engine)
 
 
 class TestEngineEquivalence:
-    """engine='set' and engine='vector' must produce identical analyses."""
+    """The array analysis must agree with the per-point tuple reference."""
 
     @pytest.mark.parametrize(
         "prog",
@@ -104,17 +106,18 @@ class TestEngineEquivalence:
         ids=lambda p: p.name,
     )
     def test_summaries_identical(self, prog):
-        set_an = DependenceAnalysis(prog, {}, engine="set")
-        vec_an = DependenceAnalysis(prog, {}, engine="vector")
-        assert set_an.summary() == vec_an.summary()
-        assert set_an.iteration_dependences == vec_an.iteration_dependences
-        assert set_an.is_uniform() == vec_an.is_uniform()
+        analysis = DependenceAnalysis(prog, {})
+        rd = ref_rd(prog)
+        assert analysis.iteration_dependences == rd
+        assert analysis.summary()["n_direct_dependences"] == len(rd)
+        assert analysis.is_uniform() == ref_is_uniform(
+            rd, analysis.iteration_space_points
+        )
 
     def test_uniform_program_agrees(self):
         from repro.workloads.synthetic import large_uniform_loop
 
         prog = large_uniform_loop(12, 9)
-        set_an = DependenceAnalysis(prog, {}, engine="set")
-        vec_an = DependenceAnalysis(prog, {}, engine="vector")
-        assert set_an.is_uniform() is True
-        assert vec_an.is_uniform() is True
+        analysis = DependenceAnalysis(prog, {})
+        assert ref_is_uniform(ref_rd(prog), analysis.iteration_space_points) is True
+        assert analysis.is_uniform() is True

@@ -11,6 +11,7 @@ from repro.ir.builder import aref, assign, loop, program
 from repro.workloads.examples import example3_loop, figure1_loop, figure2_loop
 from repro.workloads.synthetic import large_triangular_loop, random_coupled_loop
 import random
+from tuple_reference import ref_rd
 
 
 def brute_force_dependences(prog, params):
@@ -204,7 +205,5 @@ class TestSortJoinEngine:
 
     def test_analysis_engines_equivalent_end_to_end(self):
         for prog in (figure1_loop(10, 10), figure2_loop(20), large_triangular_loop(12)):
-            set_rd = DependenceAnalysis(prog, {}, engine="set").iteration_dependences
-            vec_rd = DependenceAnalysis(prog, {}, engine="vector").iteration_dependences
-            auto_rd = DependenceAnalysis(prog, {}).iteration_dependences
-            assert set_rd == vec_rd == auto_rd
+            rd = DependenceAnalysis(prog, {}).iteration_dependences
+            assert rd == ref_rd(prog)

@@ -9,13 +9,12 @@ from repro.isl.affine import AffineExpr, var
 from repro.isl.convex import Constraint, ConvexSet
 from repro.isl.lexorder import lex_lt
 from repro.isl.relations import (
-    BULK_SIZE_THRESHOLD,
     ConvexRelation,
     FiniteRelation,
     PointCodec,
-    SuccessorIndex,
     UnionRelation,
     in_sorted,
+    lex_keys,
 )
 from repro.isl.sets import UnionSet
 
@@ -45,6 +44,16 @@ class TestFiniteRelationBasics:
         a = rel([((1,), (2,))])
         b = rel([((2,), (3,))])
         assert len(a.union(b)) == 2
+
+    def test_union_of_empty_relations_keeps_dims(self):
+        empty = FiniteRelation(frozenset(), 2, 2)
+        merged = empty.union(FiniteRelation(frozenset(), 2, 2))
+        assert merged == empty
+        assert (merged.dim_in, merged.dim_out) == (2, 2)
+
+    def test_union_of_different_dims_rejected(self):
+        with pytest.raises(ValueError):
+            rel([((1,), (2,))]).union(rel([((1, 1), (2, 2))]))
 
     def test_restrict(self):
         r = rel([((1,), (2,)), ((3,), (4,))])
@@ -132,6 +141,27 @@ class TestPointCodec:
         with pytest.raises(ValueError):
             PointCodec.for_arrays(np.zeros((0, 2), dtype=np.int64))
 
+    @pytest.mark.parametrize("big", [7, 2**40], ids=["codec", "dense-ranks"])
+    def test_lex_keys_order_and_decode(self, big):
+        a = np.array([[2, 1], [-big, 9], [1, big]], dtype=np.int64)
+        b = np.array([[1, big], [0, -5]], dtype=np.int64)
+        (ka, kb), decode = lex_keys(a, b)
+        rows = np.concatenate([a, b])
+        keys = np.concatenate([ka, kb])
+        by_key = [tuple(p) for p in rows[np.argsort(keys, kind="stable")].tolist()]
+        assert by_key == sorted(tuple(p) for p in rows.tolist())
+        assert ka[2] == kb[0]  # equal rows, equal keys across arrays
+        assert np.array_equal(decode(keys), rows)
+
+    def test_lex_keys_skips_empty_arrays(self):
+        (ka, kb), decode = lex_keys(
+            np.zeros((0, 0), dtype=np.int64), np.array([[3, 4]], dtype=np.int64)
+        )
+        assert ka.shape == (0,) and len(kb) == 1
+        assert decode(kb).tolist() == [[3, 4]]
+        (empty,), decode = lex_keys(np.zeros((0, 3), dtype=np.int64))
+        assert empty.shape == (0,) and decode(empty).shape == (0, 3)
+
     def test_in_sorted(self):
         sorted_keys = np.array([2, 5, 9], dtype=np.int64)
         keys = np.array([1, 2, 5, 6, 9, 10], dtype=np.int64)
@@ -183,31 +213,20 @@ class TestArrayBackedRelation:
         )
         assert r.bulk_restrict(codec, all_keys, all_keys) is r
 
-    def test_successor_index_matches_successors(self):
-        r = self.make()
-        index = SuccessorIndex.from_relation(r)
-        for point in sorted(r.points()):
-            assert index.successors(point) == r.successors(point)
-
-    def test_successor_index_out_of_box_point(self):
-        r = self.make()
-        index = SuccessorIndex.from_relation(r)
-        assert index.successors((100, 100)) == []
-
     def test_oriented_forward_bulk_matches_scalar(self):
-        n = BULK_SIZE_THRESHOLD + 500
-        raw = [
-            ((k % 67, (k * 13) % 71), ((k * 7) % 67, (k * 3) % 71))
-            for k in range(n)
-        ]
-        r = rel(raw)
-        assert len(r) >= BULK_SIZE_THRESHOLD  # the bulk branch actually runs
-        expected = set()
-        for a, b in r.pairs:
-            if a == b:
-                continue
-            expected.add((a, b) if lex_lt(a, b) else (b, a))
-        assert r.oriented_forward().pairs == frozenset(expected)
+        # scale 2**40 overflows mixed-radix keys: dense ranks take over.
+        for scale in (1, 2**40):
+            raw = [
+                ((k % 67, scale * ((k * 13) % 71)), ((k * 7) % 67, scale * ((k * 3) % 71)))
+                for k in range(4600)
+            ]
+            r = rel(raw)
+            expected = set()
+            for a, b in r.pairs:
+                if a == b:
+                    continue
+                expected.add((a, b) if lex_lt(a, b) else (b, a))
+            assert r.oriented_forward().pairs == frozenset(expected)
 
 
 class TestLazyRelation:

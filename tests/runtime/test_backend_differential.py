@@ -1,6 +1,6 @@
 """Property-based differential tests for the execution-backend registry.
 
-The planning side pins its set/vector engines bit-identical on
+The planning side pins its schedules bit-identical to a tuple reference on
 Hypothesis-generated programs (``tests/core/test_statement_differential.py``);
 this module does the same for the runtime side: **every executing backend of
 the registry — serial, threaded, process — must produce a final store
@@ -25,10 +25,11 @@ from repro.core.partitioner import dataflow_branch
 from repro.runtime import execute, execute_sequential, make_store
 from repro.runtime.process import process_unavailable_reason
 from strategies import loop_programs
+from tuple_reference import ref_dataflow_branch
 
 
-def _reference_and_schedule(prog, engine, fill_seed):
-    schedule = dataflow_branch(prog, {}, engine=engine).schedule
+def _reference_and_schedule(prog, fill_seed):
+    schedule = dataflow_branch(prog, {}).schedule
     init = make_store(prog, fill="random", seed=fill_seed)
     ref = execute_sequential(
         prog, {}, store={k: v.copy() for k, v in init.items()}
@@ -45,16 +46,14 @@ def _assert_backend_matches(prog, schedule, init, ref, backend, **overrides):
 
 
 class TestBackendDifferential:
-    @given(prog=loop_programs(), engine=st.sampled_from(["set", "vector"]),
-           fill_seed=st.integers(0, 2**16))
-    def test_serial_backend_bit_identical(self, prog, engine, fill_seed):
-        schedule, init, ref = _reference_and_schedule(prog, engine, fill_seed)
+    @given(prog=loop_programs(), fill_seed=st.integers(0, 2**16))
+    def test_serial_backend_bit_identical(self, prog, fill_seed):
+        schedule, init, ref = _reference_and_schedule(prog, fill_seed)
         _assert_backend_matches(prog, schedule, init, ref, "serial", seed=fill_seed)
 
-    @given(prog=loop_programs(), engine=st.sampled_from(["set", "vector"]),
-           fill_seed=st.integers(0, 2**16))
-    def test_threaded_backend_bit_identical(self, prog, engine, fill_seed):
-        schedule, init, ref = _reference_and_schedule(prog, engine, fill_seed)
+    @given(prog=loop_programs(), fill_seed=st.integers(0, 2**16))
+    def test_threaded_backend_bit_identical(self, prog, fill_seed):
+        schedule, init, ref = _reference_and_schedule(prog, fill_seed)
         _assert_backend_matches(
             prog, schedule, init, ref, "threaded", workers=2, seed=fill_seed
         )
@@ -65,20 +64,20 @@ class TestBackendDifferential:
     )
     @settings(max_examples=10, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(prog=loop_programs(), engine=st.sampled_from(["set", "vector"]),
-           fill_seed=st.integers(0, 2**16))
-    def test_process_backend_bit_identical(self, prog, engine, fill_seed):
-        schedule, init, ref = _reference_and_schedule(prog, engine, fill_seed)
+    @given(prog=loop_programs(), fill_seed=st.integers(0, 2**16))
+    def test_process_backend_bit_identical(self, prog, fill_seed):
+        schedule, init, ref = _reference_and_schedule(prog, fill_seed)
         _assert_backend_matches(
             prog, schedule, init, ref, "process", workers=2, seed=fill_seed
         )
 
     @given(prog=loop_programs(min_statements=2), fill_seed=st.integers(0, 2**16))
     def test_backends_agree_across_engines(self, prog, fill_seed):
-        """Set-engine and vector-engine schedules of the same program execute
-        to the same store through the registry (phase kind must not matter)."""
-        set_schedule = dataflow_branch(prog, {}, engine="set").schedule
-        vec_schedule = dataflow_branch(prog, {}, engine="vector").schedule
+        """The tuple-phase reference schedule and the array schedule of the
+        same program execute to the same store through the registry (phase
+        kind must not matter)."""
+        set_schedule = ref_dataflow_branch(prog, {})
+        vec_schedule = dataflow_branch(prog, {}).schedule
         init = make_store(prog, fill="random", seed=fill_seed)
         outs = []
         for schedule in (set_schedule, vec_schedule):

@@ -48,8 +48,8 @@ WORKLOADS = [
     (figure2_loop(16), None),
     (example2_loop(10), None),
     (example3_loop(8), None),
-    (large_uniform_loop(12, 9), PlanConfig(engine="vector", strategies=("dataflow",))),
-    (large_cholesky_nest(14), PlanConfig(engine="vector", strategies=("dataflow",))),
+    (large_uniform_loop(12, 9), PlanConfig(strategies=("dataflow",))),
+    (large_cholesky_nest(14), PlanConfig(strategies=("dataflow",))),
 ]
 
 

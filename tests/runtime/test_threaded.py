@@ -58,7 +58,7 @@ class TestThreadedExecution:
         prog = large_uniform_loop(12, 9)
         p = plan(
             prog,
-            config=PlanConfig(engine="vector", strategies=("dataflow",)),
+            config=PlanConfig(strategies=("dataflow",)),
             cache=False,
         )
         assert any(isinstance(ph, ArrayPhase) for ph in p.schedule.phases)
@@ -93,7 +93,7 @@ class TestLockedPhaseKinds:
         prog = large_uniform_loop(10, 8)
         p = plan(
             prog,
-            config=PlanConfig(engine="vector", strategies=("dataflow",)),
+            config=PlanConfig(strategies=("dataflow",)),
             cache=False,
         )
         assert all(isinstance(ph, ArrayPhase) for ph in p.schedule.phases)
@@ -115,7 +115,7 @@ class TestLockedPhaseKinds:
         prog = large_cholesky_nest(12)
         p = plan(
             prog,
-            config=PlanConfig(engine="vector", strategies=("dataflow",)),
+            config=PlanConfig(strategies=("dataflow",)),
             cache=False,
         )
         assert all(isinstance(ph, UnifiedArrayPhase) for ph in p.schedule.phases)
@@ -132,10 +132,10 @@ class TestLockedPhaseKinds:
         (locks acquired in sorted name order, no deadlock)."""
         from repro.workloads.examples import example3_loop
 
-        prog = example3_loop(10)
-        from repro.core.partitioner import dataflow_branch
+        from tuple_reference import ref_dataflow_branch
 
-        schedule = dataflow_branch(prog, {}, engine="set").schedule
+        prog = example3_loop(10)
+        schedule = ref_dataflow_branch(prog, {})  # tuple block-unit phases
         ref = execute_sequential(prog, {})
         run = execute_schedule_threaded(
             prog, schedule, {}, n_threads=4, lock_free=False, seed=5

@@ -44,7 +44,7 @@ needs_process = pytest.mark.skipif(
 #: Same footing as tests/serving/test_serving_differential.py: the dataflow
 #: strategy is pinned valid on generated programs, so what is under test
 #: here is the *wire*, not the planner.
-DATAFLOW = PlanConfig(engine="vector", strategies=("dataflow",))
+DATAFLOW = PlanConfig(strategies=("dataflow",))
 
 
 def _dev_shm():
@@ -263,6 +263,32 @@ class TestBackPressure:
 
 def _plain_request(prog):
     return PlanRequest(program=prog)
+
+
+class TestMalformedFrames:
+    def test_malformed_frame_gets_error_frame_and_server_survives(self):
+        """A hostile header gets a typed ERROR frame back, and the server
+        still answers the next connection."""
+        import io
+        import socket
+
+        from repro.serving.transport import wire
+
+        with TransportServer() as ts:
+            frame = io.BytesIO()
+            wire.write_frame(
+                frame, wire.FrameKind.REQUEST, {"arrays": [{"nbytes": 8 * 1024**3}]}
+            )
+            with socket.create_connection(ts.address, timeout=10) as sock:
+                sock.sendall(frame.getvalue())
+                kind, header, _ = wire.read_frame(sock.makefile("rb"))
+            assert kind == wire.FrameKind.ERROR
+            assert header["error_type"] == "WireError"
+            with TransportClient(*ts.address) as client:
+                response = client.request(figure1_loop(6, 6), timeout=60)
+            ref = execute_sequential(figure1_loop(6, 6), {})
+            for name in ref:
+                assert np.array_equal(ref[name], response.result.store[name])
 
 
 class TestShutdown:

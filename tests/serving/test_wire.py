@@ -77,6 +77,42 @@ class TestFraming:
         with pytest.raises(EOFError):
             wire.read_frame(io.BytesIO(buf.getvalue()[:-16]))
 
+    @pytest.mark.parametrize(
+        "header",
+        [
+            [1, 2],
+            "arrays",
+            {"arrays": {"nbytes": 8}},
+            {"arrays": [7]},
+            {"arrays": [{"name": "x"}]},
+            {"arrays": [{"nbytes": "8"}]},
+            {"arrays": [{"nbytes": 8.0}]},
+            {"arrays": [{"nbytes": True}]},
+            {"arrays": [{"nbytes": -1}]},
+            {"arrays": [{"nbytes": 8 * 1024**3}]},
+            {"arrays": [{"nbytes": 2**29}] * 3},
+        ],
+        ids=[
+            "header-list",
+            "header-string",
+            "arrays-not-list",
+            "spec-not-object",
+            "nbytes-missing",
+            "nbytes-string",
+            "nbytes-float",
+            "nbytes-bool",
+            "nbytes-negative",
+            "nbytes-8gib",
+            "total-over-bound",
+        ],
+    )
+    def test_malformed_header_is_wire_error(self, header):
+        """Rejected before any payload is read or allocated."""
+        buf = io.BytesIO()
+        wire.write_frame(buf, FrameKind.REQUEST, header)
+        with pytest.raises(WireError):
+            wire.read_frame(io.BytesIO(buf.getvalue() + b"\x00" * 64))
+
     def test_payload_length_mismatch_rejected(self):
         arr = np.ones(4)
         specs, _ = wire.array_specs({"x": arr})
@@ -175,7 +211,6 @@ class TestConfigMarshalling:
             None,
             PlanConfig(),
             PlanConfig(
-                engine="vector",
                 strategies=("dataflow",),
                 selector="fixed",
                 rng_seed=None,
