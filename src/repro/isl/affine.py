@@ -14,9 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Sequence, Tuple, Union
+from math import lcm
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
-__all__ = ["AffineExpr", "var", "const"]
+import numpy as np
+
+__all__ = ["AffineExpr", "AffineKernel", "var", "const"]
 
 Coeff = Union[int, Fraction]
 
@@ -183,6 +186,72 @@ class AffineExpr:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"AffineExpr({self})"
+
+
+#: Every int64 value and partial sum of :meth:`AffineKernel.apply` stays
+#: below this, so the matrix product cannot wrap.
+_KERNEL_BOUND = 1 << 62
+
+
+@dataclass(frozen=True, eq=False)
+class AffineKernel:
+    """A tuple of affine expressions lowered to int64: ``x -> (x·numer + offset) / denom``.
+
+    ``numer`` has one row per variable (in the order given to :meth:`build`)
+    and one column per expression; ``denom`` is the common denominator of
+    every coefficient and constant.  :meth:`apply` evaluates a block of
+    points as one matrix product; it proves per block that no value can
+    overflow int64 and declines (returns ``None``) when the proof fails or a
+    value is not an integer, so callers fall back to exact
+    :meth:`AffineExpr.evaluate` for that block.
+    """
+
+    numer: np.ndarray
+    offset: np.ndarray
+    denom: int
+    col_bound: int  # largest column abs-sum of numer
+    offset_bound: int  # largest |offset|
+
+    @staticmethod
+    def build(
+        exprs: Sequence[AffineExpr], variables: Sequence[str]
+    ) -> Optional["AffineKernel"]:
+        """The kernel of ``exprs`` over ``variables``, or ``None`` when an
+        expression uses another symbol or a scaled entry reaches 2**62."""
+        pos = {name: k for k, name in enumerate(variables)}
+        if any(n not in pos for e in exprs for n, _ in e.coeffs):
+            return None
+        denom = lcm(1, *(c.denominator for e in exprs for _, c in e.coeffs),
+                    *(e.constant.denominator for e in exprs))
+        numer = [[0] * len(exprs) for _ in variables]
+        for col, e in enumerate(exprs):
+            for n, c in e.coeffs:
+                numer[pos[n]][col] = int(c * denom)
+        offset = [int(e.constant * denom) for e in exprs]
+        col_bound = max(
+            (sum(abs(row[c]) for row in numer) for c in range(len(exprs))), default=0
+        )
+        offset_bound = max(map(abs, offset), default=0)
+        if max(col_bound, offset_bound) >= _KERNEL_BOUND:
+            return None
+        numer_arr = np.array(numer, dtype=np.int64).reshape(len(variables), len(exprs))
+        offset_arr = np.array(offset, dtype=np.int64)
+        numer_arr.flags.writeable = offset_arr.flags.writeable = False
+        return AffineKernel(numer_arr, offset_arr, denom, col_bound, offset_bound)
+
+    def apply(self, points: np.ndarray) -> Optional[np.ndarray]:
+        """The ``(n, len(exprs))`` int64 values at the rows of ``points``, or
+        ``None`` when ``max|row| · col_bound + offset_bound`` reaches 2**62
+        or some value is not an integer."""
+        reach = max(int(points.max()), -int(points.min())) if points.size else 0
+        if reach * self.col_bound + self.offset_bound >= _KERNEL_BOUND:
+            return None
+        values = points @ self.numer + self.offset
+        if self.denom != 1:
+            if (values % self.denom).any():
+                return None
+            values //= self.denom
+        return values
 
 
 def var(name: str) -> AffineExpr:

@@ -528,48 +528,6 @@ class FiniteRelation:
             self._arrays = (readonly_view(src), readonly_view(dst))
         return self._arrays
 
-    def codec(self, *extra: Optional[np.ndarray]) -> PointCodec:
-        """A :class:`PointCodec` covering dom ∪ ran plus any extra point arrays.
-
-        Requires ``dim_in == dim_out`` (dependence relations always satisfy
-        this); raises :class:`ValueError` for empty inputs or oversized boxes.
-        """
-        if self.dim_in != self.dim_out:
-            raise ValueError("codec requires a homogeneous relation (dim_in == dim_out)")
-        src, dst = self.as_arrays()
-        return PointCodec.for_arrays(src, dst, *extra)
-
-    def bulk_dom(self, codec: PointCodec) -> np.ndarray:
-        """Sorted unique keys of the domain (bulk analogue of :meth:`domain`)."""
-        return np.unique(codec.encode(self.as_arrays()[0]))
-
-    def bulk_ran(self, codec: PointCodec) -> np.ndarray:
-        """Sorted unique keys of the range (bulk analogue of :meth:`range`)."""
-        return np.unique(codec.encode(self.as_arrays()[1]))
-
-    def bulk_restrict(
-        self,
-        codec: PointCodec,
-        domain_keys: Optional[np.ndarray] = None,
-        rng_keys: Optional[np.ndarray] = None,
-    ) -> "FiniteRelation":
-        """Bulk analogue of :meth:`restrict` over sorted key arrays.
-
-        ``domain_keys``/``rng_keys`` are ascending-sorted key arrays produced
-        with the same ``codec`` (e.g. by :meth:`bulk_dom` or
-        ``np.unique(codec.encode(points))``).
-        """
-        src, dst = self.as_arrays()
-        mask = np.ones(len(src), dtype=bool)
-        if domain_keys is not None:
-            mask &= in_sorted(codec.encode(src), domain_keys)
-        if rng_keys is not None:
-            mask &= in_sorted(codec.encode(dst), rng_keys)
-        if mask.all():
-            return self
-        # A masked subset of canonical (sorted, unique) arrays stays canonical.
-        return FiniteRelation._from_canonical_arrays(src[mask], dst[mask])
-
     # -- basic queries --------------------------------------------------------
 
     def __len__(self) -> int:

@@ -14,8 +14,8 @@ the same :class:`RunResult` (final store + per-phase instance/worker/timing
 counters):
 
 ``serial``
-    the shuffled single-process reference executor (the old
-    ``execute_schedule`` loop);
+    the shuffled single-process executor (the old ``execute_schedule``
+    loop);
 ``threaded``
     the real thread pool with phase barriers — correctness under true
     concurrency, GIL-bound for speed;
@@ -35,6 +35,14 @@ counters):
     plan fingerprint — schedules without a kernel fall back to ``serial``
     with the reason recorded in ``RunResult.meta``.
 
+``serial``, ``threaded`` and ``process`` differ only in who runs which
+units: each lowers a phase with :func:`~repro.runtime.executor.lower_phase`
+and executes its share through one
+:class:`~repro.runtime.executor.InstanceRunner` loop (integer subscript
+kernels, fixed-size blocks), which is what keeps them bit-identical to each
+other and to the ``Fraction``-exact
+:func:`~repro.runtime.executor.execute_sequential` oracle.
+
 The historical entry points live on as thin shims over the registry, and
 :meth:`Plan.execute(backend=...) <repro.core.strategy.Plan.execute>` reaches
 the same registry through the planning facade.  Third-party executors (a GPU
@@ -50,10 +58,9 @@ from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
-from ..core.schedule import ArrayPhase, Schedule, UnifiedArrayPhase
-from ..core.symbolic import CosetChainPhase, SymbolicDoallPhase
+from ..core.schedule import Schedule
 from ..ir.program import LoopProgram
-from .executor import ArrayStore, _execute_instance, make_store
+from .executor import ArrayStore, InstanceRunner, lower_phase, make_store, unit_order
 from .simulator import CostModel, simulate_schedule
 
 __all__ = [
@@ -325,75 +332,16 @@ def _serial_runner(
     config: ExecConfig,
     rng: Optional[random.Random],
 ) -> RunResult:
-    """The reference executor: one process, phases in order, units shuffled."""
+    """One process, phases in order, units shuffled."""
     store = store if store is not None else make_store(program)
-    contexts = {ctx.statement.label: ctx for ctx in program.statement_contexts()}
+    runner = InstanceRunner(program, store)
     rng = _resolve_rng(config, rng)
     stats: List[PhaseStats] = []
     t_run = time.perf_counter()
     for phase in schedule.phases:
         t0 = time.perf_counter()
-        if isinstance(phase, ArrayPhase):
-            ctx = contexts[phase.label]
-            rows = phase.points.tolist()
-            if rng is not None:
-                rng.shuffle(rows)
-            stmt, index_names = ctx.statement, ctx.index_names
-            for row in rows:
-                _execute_instance(stmt, row, index_names, store)
-            executed = len(rows)
-        elif isinstance(phase, UnifiedArrayPhase):
-            # Statement-level array phases: rows are unified index vectors;
-            # the iteration vector is the odd columns up to the statement's
-            # depth — executed directly, no unit objects.
-            stmts = [contexts[label] for label in phase.labels]
-            depths = phase.depths
-            entries = list(zip(phase.stmt_ids.tolist(), phase.rows.tolist()))
-            if rng is not None:
-                rng.shuffle(entries)
-            for sid, row in entries:
-                ctx = stmts[sid]
-                _execute_instance(
-                    ctx.statement, row[1 : 2 * depths[sid] : 2],
-                    ctx.index_names, store,
-                )
-            executed = len(entries)
-        elif isinstance(phase, SymbolicDoallPhase):
-            # Symbolic box phases: enumerate the boxes directly instead of
-            # building one ExecutionUnit per point.
-            ctx = contexts[phase.label]
-            rows = phase.points_array().tolist()
-            if rng is not None:
-                rng.shuffle(rows)
-            stmt, index_names = ctx.statement, ctx.index_names
-            for row in rows:
-                _execute_instance(stmt, row, index_names, store)
-            executed = len(rows)
-        elif isinstance(phase, CosetChainPhase):
-            ctx = contexts[phase.label]
-            stmt, index_names = ctx.statement, ctx.index_names
-            starts, lens = phase.chains()
-            chains = list(zip(starts.tolist(), lens.tolist()))
-            if rng is not None:
-                rng.shuffle(chains)
-            step = phase.step
-            executed = 0
-            for start, length in chains:
-                point = list(start)
-                for _ in range(length):
-                    _execute_instance(stmt, point, index_names, store)
-                    point = [c + s for c, s in zip(point, step)]
-                executed += length
-        else:
-            units = list(phase.units)
-            if rng is not None:
-                rng.shuffle(units)
-            executed = 0
-            for unit in units:
-                for label, iteration in unit.instances:
-                    ctx = contexts[label]
-                    _execute_instance(ctx.statement, iteration, ctx.index_names, store)
-                    executed += 1
+        lowered = lower_phase(phase, runner.label_ids)
+        executed = runner.run(lowered, unit_order(lowered.n_units, rng))
         stats.append(
             PhaseStats(phase.name, executed, len(phase), 1, time.perf_counter() - t0)
         )

@@ -1,18 +1,25 @@
 """Executing loop programs and schedules over concrete numpy arrays.
 
-Two executors are provided:
+Two execution paths are provided, deliberately independent of each other:
 
-* :func:`execute_sequential` — runs the program in original sequential order;
-  this is the semantic ground truth.
-* :func:`execute_schedule` — runs a partitioned :class:`~repro.core.schedule.Schedule`,
-  phase by phase.  Units inside a phase are executed in an arbitrary
-  (deliberately shuffled) order to emulate concurrent execution: if the
-  schedule is only correct under some lucky intra-phase ordering, shuffling
-  exposes the bug.  Instances inside a unit keep their order (a WHILE chain is
-  sequential by construction).  Since the backend registry landed this is a
-  shim over the registered ``serial`` backend (see
-  :mod:`repro.runtime.backends`); the threaded, process-pool and simulated
-  executors live behind the same registry.
+* :func:`execute_sequential` — runs the program in original sequential order,
+  one instance at a time, evaluating every subscript exactly with
+  ``Fraction`` arithmetic (:func:`_execute_exact`).  This is the semantic
+  ground truth; it never touches the integer kernels below, so it stays a
+  real oracle for them.
+* the schedule path — every executing backend (``serial``, ``threaded``,
+  ``process``) runs its phases through the same three pieces:
+  :func:`subscript_kernel` lowers each array reference's subscripts once to an
+  int64 :class:`~repro.isl.affine.AffineKernel`; :func:`lower_phase` turns any
+  phase kind into one CSR form, :class:`LoweredPhase` ``(stmt_ids, rows,
+  unit_offsets)``; and :class:`InstanceRunner` walks that form in fixed-size
+  blocks, computing a block's subscripts as one matrix product per
+  reference.  Units inside a phase run in a deliberately shuffled order
+  (:func:`unit_order`) to emulate concurrent execution: a schedule that is
+  only correct under some lucky intra-phase ordering is exposed.  Instances
+  inside a unit keep their order (a WHILE chain is sequential by
+  construction).  :func:`execute_schedule` is the historical shim over the
+  ``serial`` backend of :mod:`repro.runtime.backends`.
 
 Array stores are dictionaries ``name -> numpy int64 array``; statement
 semantics are exact integer functions (see :mod:`repro.ir.semantics`), so
@@ -24,14 +31,17 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.schedule import Schedule
-from ..ir.nodes import Statement
+from ..core.schedule import ArrayPhase, Schedule, UnifiedArrayPhase
+from ..core.symbolic import CosetChainPhase, SymbolicDoallPhase
+from ..ir.nodes import ArrayRef, Statement
 from ..ir.program import LoopProgram
 from ..ir.semantics import DEFAULT_SEMANTICS
+from ..isl.affine import AffineKernel
 
 __all__ = [
     "ArrayStore",
@@ -77,13 +87,14 @@ def make_store(program: LoopProgram, fill: str = "index", seed: int = 0) -> Arra
     return store
 
 
-def _execute_instance_env(stmt: Statement, env: Mapping[str, int], store: ArrayStore) -> None:
-    """Run one statement instance against a prebuilt environment: gather
-    reads, compute, store through writes.
+def _execute_exact(stmt: Statement, env: Mapping[str, int], store: ArrayStore) -> None:
+    """Run one statement instance exactly: evaluate every subscript with
+    :meth:`~repro.ir.nodes.ArrayRef.evaluate` (``Fraction`` arithmetic),
+    gather reads, compute, store through writes.
 
-    The single definition of statement dispatch — the serial, threaded and
-    process backends all execute through this body (the differential harness
-    pins them bit-identical, which only holds while they share it).
+    The body of :func:`execute_sequential` (the oracle, which never touches
+    the integer kernels) and the fallback of :class:`InstanceRunner` for
+    blocks its kernels decline.
     """
     read_values = []
     for ref in stmt.reads:
@@ -96,14 +107,222 @@ def _execute_instance_env(stmt: Statement, env: Mapping[str, int], store: ArrayS
         store[ref.array][idx] = int(value)
 
 
-def _execute_instance(
-    stmt: Statement,
-    iteration: Sequence[int],
-    index_names: Sequence[str],
-    store: ArrayStore,
-) -> None:
-    """Run one statement instance from its iteration vector."""
-    _execute_instance_env(stmt, dict(zip(index_names, iteration)), store)
+# ---------------------------------------------------------------------------
+# the schedule path: subscript kernels, phase lowering, one instance loop
+# ---------------------------------------------------------------------------
+
+#: Instances per block of :meth:`InstanceRunner.run`: bounds the address
+#: arrays and Python row lists alive at once, whatever the phase size.
+_BLOCK = 4096
+
+
+@lru_cache(maxsize=4096)
+def subscript_kernel(ref: ArrayRef, index_names: Tuple[str, ...]) -> Optional[AffineKernel]:
+    """The integer kernel of ``ref``'s subscripts over a statement's loop
+    indices (``None`` when a subscript uses a symbol outside them)."""
+    return AffineKernel.build(ref.subscripts, index_names)
+
+
+@dataclass(frozen=True)
+class LoweredPhase:
+    """A phase as CSR instance arrays: unit ``u`` is the instances
+    ``unit_offsets[u]:unit_offsets[u + 1]``, executed in order; ``stmt_ids``
+    index the program's statement contexts and ``rows`` hold the iteration
+    vectors, zero-padded to the widest."""
+
+    stmt_ids: np.ndarray
+    rows: np.ndarray
+    unit_offsets: np.ndarray
+
+    @property
+    def n_units(self) -> int:
+        return len(self.unit_offsets) - 1
+
+    def instance_order(self, units: Optional[np.ndarray] = None) -> np.ndarray:
+        """Instance indices of ``units`` (default: all in order) back to back."""
+        if units is None:
+            return np.arange(len(self.rows), dtype=np.int64)
+        starts = self.unit_offsets[units]
+        lens = self.unit_offsets[units + 1] - starts
+        shift = starts - (np.cumsum(lens) - lens)  # unit start minus its output position
+        return np.arange(lens.sum(), dtype=np.int64) + np.repeat(shift, lens)
+
+    def take(self, units: np.ndarray) -> "LoweredPhase":
+        """The sub-phase of ``units``, re-packed contiguously in that order."""
+        idx = self.instance_order(units)
+        lens = self.unit_offsets[units + 1] - self.unit_offsets[units]
+        return LoweredPhase(
+            self.stmt_ids[idx], self.rows[idx],
+            np.concatenate(([0], np.cumsum(lens))).astype(np.int64),
+        )
+
+
+def _doall(stmt_ids: np.ndarray, rows: np.ndarray) -> LoweredPhase:
+    return LoweredPhase(stmt_ids, rows, np.arange(len(rows) + 1, dtype=np.int64))
+
+
+def lower_phase(phase, label_ids: Mapping[str, int]) -> LoweredPhase:
+    """Lower any phase kind to its :class:`LoweredPhase`."""
+    if isinstance(phase, (ArrayPhase, SymbolicDoallPhase)):
+        points = phase.points if isinstance(phase, ArrayPhase) else phase.points_array()
+        return _doall(np.full(len(points), label_ids[phase.label], dtype=np.int64), points)
+    if isinstance(phase, UnifiedArrayPhase):
+        # Unified rows are (s0, i1, s1, ..., il, sl, 0, ...): the iteration
+        # vector is the odd columns up to the statement's depth.
+        sids = np.array([label_ids[label] for label in phase.labels], dtype=np.int64)
+        width = max(phase.depths, default=0)
+        return _doall(sids[phase.stmt_ids], phase.rows[:, 1 : 2 * width : 2])
+    if isinstance(phase, CosetChainPhase):
+        starts, lens = phase.chains()
+        offsets = np.concatenate(([0], np.cumsum(lens))).astype(np.int64)
+        owner = np.repeat(np.arange(len(lens)), lens)
+        steps = np.arange(offsets[-1], dtype=np.int64) - offsets[:-1][owner]
+        rows = starts[owner] + steps[:, None] * np.asarray(phase.step, dtype=np.int64)
+        ids = np.full(len(rows), label_ids[phase.label], dtype=np.int64)
+        return LoweredPhase(ids, rows, offsets)
+    ids: List[int] = []
+    iterations: List[Sequence[int]] = []
+    offsets = [0]
+    for unit in phase.units:
+        for label, iteration in unit.instances:
+            ids.append(label_ids[label])
+            iterations.append(iteration)
+        offsets.append(len(ids))
+    width = max(map(len, iterations), default=0)
+    rows = [list(it) + [0] * (width - len(it)) for it in iterations]
+    return LoweredPhase(
+        np.asarray(ids, dtype=np.int64),
+        np.asarray(rows, dtype=np.int64).reshape(len(ids), width),
+        np.asarray(offsets, dtype=np.int64),
+    )
+
+
+def unit_order(units: int, rng: Optional[random.Random]) -> np.ndarray:
+    """The shuffle contract: ``rng`` permutes a phase's units (``None``: keep
+    them as built).  ``rng.shuffle`` draws depend only on the length, so the
+    permutation is the one shuffling the units themselves would give."""
+    if rng is None:
+        return np.arange(units, dtype=np.int64)
+    order = list(range(units))
+    rng.shuffle(order)
+    return np.asarray(order, dtype=np.int64)
+
+
+class _StatementPlan:
+    """One statement's precomputed execution state against one store."""
+
+    def __init__(self, ctx, store: ArrayStore, locks):
+        stmt = ctx.statement
+        self.statement = stmt
+        self.names = ctx.index_names
+        self.semantics = stmt.semantics or DEFAULT_SEMANTICS
+        self.n_reads = len(stmt.reads)
+        refs = stmt.reads + stmt.writes
+        self.locks = (
+            [locks[a] for a in sorted({ref.array for ref in refs})] if locks else None
+        )
+        self.refs = None  # not lowerable: every instance runs exactly
+        if all(ref.array in store and store[ref.array].ndim == ref.rank for ref in refs):
+            kernels = [subscript_kernel(ref, self.names) for ref in refs]
+            if all(k is not None for k in kernels):
+                self.refs = [
+                    (k, _c_strides(store[ref.array].shape)) for k, ref in zip(kernels, refs)
+                ]
+                self.getters = [store[ref.array].item for ref in stmt.reads]
+                self.views = [_flat_view(store[ref.array]) for ref in stmt.writes]
+
+    def addresses(self, rows: np.ndarray) -> Optional[list]:
+        """Per row, the C-order flat address of every read then write, or
+        ``None`` when the kernels decline the block or an index is out of
+        range (the exact path then raises exactly as it always did)."""
+        depth = len(self.names)
+        if self.refs is None or rows.shape[1] < depth:
+            return None
+        points = rows[:, :depth]
+        cols = []
+        for kernel, (shape, strides) in self.refs:
+            idx = kernel.apply(points)
+            if idx is None or ((idx < -shape) | (idx >= shape)).any():
+                return None
+            cols.append((idx + (idx < 0) * shape) @ strides)  # NumPy's negative wrap
+        return np.stack(cols, axis=1).tolist() if cols else [[]] * len(rows)
+
+
+def _c_strides(shape: Tuple[int, ...]) -> Tuple[np.ndarray, np.ndarray]:
+    """``(shape, element strides)`` of a C-ordered array of ``shape``."""
+    strides = [1] * len(shape)
+    for k in range(len(shape) - 2, -1, -1):
+        strides[k] = strides[k + 1] * shape[k + 1]
+    return np.asarray(shape, dtype=np.int64), np.asarray(strides, dtype=np.int64)
+
+
+def _flat_view(arr: np.ndarray):
+    """Something indexable by C-order flat address whose writes land in
+    ``arr``: a 1-D view when ``arr`` is C-contiguous, else its flat iterator."""
+    return arr.reshape(-1) if arr.flags.c_contiguous else arr.flat
+
+
+class InstanceRunner:
+    """The one execution path of every backend's phases.
+
+    Built per (program, store): each statement's subscripts are lowered to
+    :class:`~repro.isl.affine.AffineKernel` s (cached per statement context),
+    and :meth:`run` walks a :class:`LoweredPhase` in blocks of
+    :data:`_BLOCK` instances — all subscripts of a block are one matrix
+    product per reference, then each instance gathers its reads through the
+    flat addresses, calls ``semantics(store, env, read_values)`` and stores
+    ``int(value)`` through each write.  ``locks`` (array name -> lock) holds
+    every lock of an instance's arrays, in sorted name order, around it.
+    """
+
+    def __init__(self, program: LoopProgram, store: ArrayStore, locks=None):
+        self.store = store
+        contexts = program.statement_contexts()
+        self.label_ids = {ctx.statement.label: i for i, ctx in enumerate(contexts)}
+        self._plans = [_StatementPlan(ctx, store, locks) for ctx in contexts]
+
+    def run(self, lowered: LoweredPhase, units: Optional[np.ndarray] = None) -> int:
+        """Execute ``units`` of ``lowered`` (default: all, in order) back to
+        back, order inside each unit kept; returns the instance count."""
+        order = lowered.instance_order(units)
+        for lo in range(0, len(order), _BLOCK):
+            sel = order[lo : lo + _BLOCK]
+            self._run_block(lowered.stmt_ids[sel], lowered.rows[sel])
+        return len(order)
+
+    def _run_block(self, stmt_ids: np.ndarray, rows: np.ndarray) -> None:
+        plans, store = self._plans, self.store
+        present = np.unique(stmt_ids).tolist()
+        if len(present) == 1:
+            addrs = plans[present[0]].addresses(rows) or [None] * len(rows)
+        else:
+            addrs = [None] * len(rows)
+            for sid in present:
+                where = np.flatnonzero(stmt_ids == sid)
+                found = plans[sid].addresses(rows[where])
+                if found is not None:
+                    for k, a in zip(where.tolist(), found):
+                        addrs[k] = a
+        for sid, row, addr in zip(stmt_ids.tolist(), rows.tolist(), addrs):
+            plan = plans[sid]
+            env = dict(zip(plan.names, row))
+            if plan.locks:
+                for lock in plan.locks:
+                    lock.acquire()
+            try:
+                if addr is None:
+                    _execute_exact(plan.statement, env, store)
+                    continue
+                values = [int(get(a)) for get, a in zip(plan.getters, addr)]
+                value = int(plan.semantics(store, env, values))
+                k = plan.n_reads
+                for view in plan.views:
+                    view[addr[k]] = value
+                    k += 1
+            finally:
+                if plan.locks:
+                    for lock in reversed(plan.locks):
+                        lock.release()
 
 
 def execute_sequential(
@@ -116,7 +335,7 @@ def execute_sequential(
     contexts = {ctx.statement.label: ctx for ctx in program.statement_contexts()}
     for label, iteration in program.sequential_iterations(params):
         ctx = contexts[label]
-        _execute_instance(ctx.statement, iteration, ctx.index_names, store)
+        _execute_exact(ctx.statement, dict(zip(ctx.index_names, iteration)), store)
     return store
 
 
@@ -143,9 +362,6 @@ def execute_schedule(
     — fully reproducible and side-effect-free — or ``seed`` to have one
     created; ``seed=None`` with no ``rng`` disables shuffling (phase order as
     built).
-
-    :class:`~repro.core.schedule.ArrayPhase` phases are executed directly off
-    their ``(n, dim)`` point array — no per-point unit objects are built.
     """
     from .backends import ExecConfig, execute
 

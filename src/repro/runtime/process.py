@@ -2,8 +2,8 @@
 
 This is the executor the ROADMAP asked for: real wall-clock parallelism for
 the phase/barrier schedules.  :mod:`repro.runtime.threaded` proves
-*correctness* under concurrency but the GIL serialises the Python statement
-interpreter; here each phase's work is executed by a pool of **processes**
+*correctness* under concurrency but the GIL serialises the Python instance
+loop; here each phase's work is executed by a pool of **processes**
 sharing the program's arrays through one ``multiprocessing.shared_memory``
 segment (see :mod:`repro.runtime.shm`), so DOALL phases genuinely overlap on
 multi-core hosts while keeping the shared-mutable-array semantics the paper's
@@ -21,11 +21,13 @@ Protocol (attach per store, barrier per phase):
    dtype, offset)`` descriptor table; each worker maps the segment **once**
    and builds numpy views onto the shared buffer (an internal barrier makes
    every worker consume exactly one control message);
-3. per phase, the parent ships each worker one strided slice of the phase's
-   rows — an :class:`~repro.core.schedule.ArrayPhase` point slice, a
-   :class:`~repro.core.schedule.UnifiedArrayPhase` ``(stmt_ids, rows)`` slice,
-   or a CSR-encoded slice of a unit phase's chains — as plain int64 arrays
-   (slice-level messages, never per-point objects);
+3. per phase, the parent lowers the phase to its CSR form
+   (:func:`~repro.runtime.executor.lower_phase`), shuffles and deals its
+   units round-robin, and ships each worker its units re-packed as
+   ``(stmt_ids, rows, unit_offsets)`` int64 arrays (slice-level messages,
+   never per-point objects); the worker runs them through the same
+   :class:`~repro.runtime.executor.InstanceRunner` as every other backend,
+   built once per attached store;
 4. the parent collects one acknowledgement per shipped task before moving to
    the next phase — exactly the barrier of the generated code — and finally
    copies the shared arrays back into the caller's store, broadcasts
@@ -44,14 +46,13 @@ import multiprocessing as mp
 import queue as queue_module
 import time
 import traceback
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.schedule import ArrayPhase, UnifiedArrayPhase
 from ..ir.program import LoopProgram
-from .executor import _execute_instance_env
-from .shm import ArrayDescriptor, SharedArrayStore
+from .executor import InstanceRunner, LoweredPhase, lower_phase, unit_order
+from .shm import SharedArrayStore
 
 __all__ = ["ProcessPool", "default_mp_context", "process_unavailable_reason"]
 
@@ -89,64 +90,6 @@ def process_unavailable_reason() -> Optional[str]:
 # ---------------------------------------------------------------------------
 
 
-# One statement instance against the shared views: the same dispatch body
-# as every other backend (see executor._execute_instance_env — sharing it is
-# what keeps the backends bit-identical).
-_execute_env = _execute_instance_env
-
-
-def _run_rows_task(task, contexts, arrays) -> int:
-    """An :class:`ArrayPhase` slice: (label, (n, dim) rows)."""
-    _, label, rows = task
-    ctx = contexts[label]
-    stmt, index_names = ctx.statement, ctx.index_names
-    for row in rows.tolist():
-        _execute_env(stmt, dict(zip(index_names, row)), arrays)
-    return len(rows)
-
-
-def _run_unified_task(task, contexts, arrays) -> int:
-    """A :class:`UnifiedArrayPhase` slice: unified rows + parallel stmt ids."""
-    _, labels, depths, stmt_ids, rows = task
-    stmts = [contexts[label] for label in labels]
-    executed = 0
-    for sid, row in zip(stmt_ids.tolist(), rows.tolist()):
-        ctx = stmts[sid]
-        env = dict(zip(ctx.index_names, row[1 : 2 * depths[sid] : 2]))
-        _execute_env(ctx.statement, env, arrays)
-        executed += 1
-    return executed
-
-
-def _run_units_task(task, contexts, arrays) -> int:
-    """A CSR-encoded slice of a unit phase (e.g. WHILE chains).
-
-    ``unit_offsets`` delimits the units inside the flat ``(stmt_ids, rows)``
-    arrays; instances inside a unit execute in order (a chain is sequential by
-    construction), units in the slice run back to back on this worker.
-    """
-    _, labels, depths, stmt_ids, rows, unit_offsets = task
-    stmts = [contexts[label] for label in labels]
-    executed = 0
-    offsets = unit_offsets.tolist()
-    ids = stmt_ids.tolist()
-    pts = rows.tolist()
-    for u in range(len(offsets) - 1):
-        for k in range(offsets[u], offsets[u + 1]):
-            ctx = stmts[ids[k]]
-            env = dict(zip(ctx.index_names, pts[k][: depths[ids[k]]]))
-            _execute_env(ctx.statement, env, arrays)
-            executed += 1
-    return executed
-
-
-_TASK_RUNNERS = {
-    "rows": _run_rows_task,
-    "unified": _run_unified_task,
-    "units": _run_units_task,
-}
-
-
 def _worker_main(
     worker_id: int,
     program: LoopProgram,
@@ -162,8 +105,8 @@ def _worker_main(
     worker until all of them consumed theirs, so no worker can steal a
     sibling's attach off the shared queue.
     """
-    contexts = {ctx.statement.label: ctx for ctx in program.statement_contexts()}
     store: Optional[SharedArrayStore] = None
+    runner: Optional[InstanceRunner] = None
     try:
         while True:
             task = tasks.get()
@@ -171,13 +114,16 @@ def _worker_main(
                 break
             kind = task[0]
             if kind == "attach":
+                runner = None  # drop its views before the mapping goes
                 if store is not None:
                     store.close()
                 store = SharedArrayStore.attach(task[1], task[2])
+                runner = InstanceRunner(program, store.arrays)
                 results.put(("ok", worker_id, 0, 0.0))
                 barrier.wait()
                 continue
             if kind == "detach":
+                runner = None
                 if store is not None:
                     store.close()
                     store = None
@@ -186,94 +132,15 @@ def _worker_main(
                 continue
             try:
                 t0 = time.perf_counter()
-                arrays = store.arrays if store is not None else None
-                if arrays is None:
+                if runner is None:
                     raise RuntimeError("phase task received with no store attached")
-                executed = _TASK_RUNNERS[kind](task, contexts, arrays)
+                executed = runner.run(LoweredPhase(*task[1:]))
                 results.put(("ok", worker_id, executed, time.perf_counter() - t0))
             except Exception:
                 results.put(("error", worker_id, traceback.format_exc(), 0.0))
     finally:
         if store is not None:
             store.close()
-
-
-# ---------------------------------------------------------------------------
-# parent side: phase encoding
-# ---------------------------------------------------------------------------
-
-
-def _split_array_phase(phase: ArrayPhase, workers: int, rng) -> List[tuple]:
-    """Strided row slices of an ArrayPhase, one task per (nonempty) worker."""
-    points = phase.points
-    if rng is not None:
-        order = list(range(len(points)))
-        rng.shuffle(order)
-        points = points[np.asarray(order, dtype=np.int64)]
-    return [
-        ("rows", phase.label, np.ascontiguousarray(points[k::workers]))
-        for k in range(workers)
-        if len(points[k::workers])
-    ]
-
-
-def _split_unified_phase(phase: UnifiedArrayPhase, workers: int, rng) -> List[tuple]:
-    """Strided (stmt_ids, rows) slices of a UnifiedArrayPhase."""
-    ids, rows = phase.stmt_ids, phase.rows
-    if rng is not None:
-        order = list(range(len(rows)))
-        rng.shuffle(order)
-        perm = np.asarray(order, dtype=np.int64)
-        ids, rows = ids[perm], rows[perm]
-    return [
-        (
-            "unified",
-            phase.labels,
-            phase.depths,
-            np.ascontiguousarray(ids[k::workers]),
-            np.ascontiguousarray(rows[k::workers]),
-        )
-        for k in range(workers)
-        if len(rows[k::workers])
-    ]
-
-
-def _split_unit_phase(phase, labels, depths, label_ids, workers: int, rng) -> List[tuple]:
-    """CSR-encode a generic unit phase (chains, blocks) into per-worker tasks.
-
-    Units are distributed round-robin; each worker's units are flattened into
-    ``(stmt_ids, rows, unit_offsets)`` int64 arrays — rows are iteration
-    vectors padded to the program's maximum nesting depth, so the message is a
-    single rectangular array regardless of how the statements nest.
-    """
-    units = list(phase.units)
-    if rng is not None:
-        rng.shuffle(units)
-    width = max(depths) if depths else 1
-    tasks = []
-    for k in range(workers):
-        mine = units[k::workers]
-        if not mine:
-            continue
-        ids: List[int] = []
-        rows: List[List[int]] = []
-        offsets = [0]
-        for unit in mine:
-            for label, iteration in unit.instances:
-                ids.append(label_ids[label])
-                rows.append(list(iteration) + [0] * (width - len(iteration)))
-            offsets.append(len(ids))
-        tasks.append(
-            (
-                "units",
-                labels,
-                depths,
-                np.asarray(ids, dtype=np.int64),
-                np.asarray(rows, dtype=np.int64).reshape(len(ids), width),
-                np.asarray(offsets, dtype=np.int64),
-            )
-        )
-    return tasks
 
 
 # ---------------------------------------------------------------------------
@@ -325,11 +192,9 @@ class ProcessPool:
         self._results = self._ctx.Queue()
         self._barrier = self._ctx.Barrier(workers)
         self._procs = []
-        # Label table for unit-phase encoding, shared across phases.
-        contexts = program.statement_contexts()
-        self._labels = tuple(ctx.statement.label for ctx in contexts)
-        self._depths = tuple(ctx.depth for ctx in contexts)
-        self._label_ids = {label: i for i, label in enumerate(self._labels)}
+        self._label_ids = {
+            ctx.statement.label: i for i, ctx in enumerate(program.statement_contexts())
+        }
         try:
             for wid in range(workers):
                 p = self._ctx.Process(
@@ -412,14 +277,17 @@ class ProcessPool:
     # -- phase execution --------------------------------------------------------
 
     def phase_tasks(self, phase, rng=None) -> List[tuple]:
-        """Encode one schedule phase into per-worker task messages."""
-        if isinstance(phase, ArrayPhase):
-            return _split_array_phase(phase, self.workers, rng)
-        if isinstance(phase, UnifiedArrayPhase):
-            return _split_unified_phase(phase, self.workers, rng)
-        return _split_unit_phase(
-            phase, self._labels, self._depths, self._label_ids, self.workers, rng
-        )
+        """Encode one schedule phase into per-worker task messages: the
+        lowered phase's units, shuffled by ``rng``, dealt round-robin and
+        re-packed as ``("units", stmt_ids, rows, unit_offsets)`` int64
+        arrays (slice-level messages, never per-point objects)."""
+        lowered = lower_phase(phase, self._label_ids)
+        units = unit_order(lowered.n_units, rng)
+        tasks = []
+        for k in range(min(self.workers, len(units))):
+            part = lowered.take(units[k :: self.workers])
+            tasks.append(("units", part.stmt_ids, part.rows, part.unit_offsets))
+        return tasks
 
     def run_phase(self, phase, rng=None) -> Tuple[int, int]:
         """Execute one phase across the pool; returns (instances, tasks).

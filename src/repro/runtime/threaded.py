@@ -15,16 +15,19 @@ wall-clock speedups use the ``process`` backend of the
 shared-mutable-array semantics by placing every array in one
 ``multiprocessing.shared_memory`` segment that all workers attach
 (:mod:`repro.runtime.process`), so the memory behaviour being modelled is
-preserved while the statement interpreter runs on real cores.  The cost-model
-simulator (``simulated`` backend, DESIGN.md §2) remains the deterministic
-speedup *model*.
+preserved while the instance loop runs on real cores.  Each worker thread
+runs its round-robin share of a phase's units through the same
+:class:`~repro.runtime.executor.InstanceRunner` as the serial backend.  The
+cost-model simulator (``simulated`` backend, DESIGN.md §2) remains the
+deterministic speedup *model*.
 
 Execution is lock-free by default: a partition-derived schedule is race-free
 by construction (units of a phase never touch overlapping elements in a
 conflicting way), so no synchronization beyond the phase barriers is needed.
 ``lock_free=False`` additionally serializes each instance's
 read-compute-write against other instances touching the same arrays via
-per-array locks (acquired in sorted name order, so no deadlocks) — useful
+per-array locks (acquired in sorted name order, so no deadlocks; the
+runner holds them around each instance) — useful
 when executing schedules of unvalidated provenance, at the cost of
 serializing most of the phase.
 """
@@ -35,15 +38,12 @@ import random
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
-import numpy as np
-
-from ..core.schedule import ArrayPhase, Schedule, UnifiedArrayPhase
+from ..core.schedule import Schedule
 from ..ir.program import LoopProgram
-from .executor import ArrayStore, _execute_instance_env, make_store
+from .executor import ArrayStore, InstanceRunner, lower_phase, make_store, unit_order
 
 __all__ = ["ThreadedRun", "execute_schedule_threaded"]
 
@@ -66,114 +66,6 @@ class ThreadedRun:
     instances_executed: int
 
 
-# One statement instance: the shared dispatch body (see executor.py).
-_execute_instance = _execute_instance_env
-
-
-def _run_units(
-    units,
-    contexts,
-    store,
-    locks: Optional[Mapping[str, threading.Lock]] = None,
-) -> int:
-    """Worker body: execute a slice of a phase's units; returns instance count.
-
-    ``locks`` is ``None`` for lock-free execution; otherwise it maps array
-    names to locks, and every instance holds the locks of all arrays it
-    touches (in sorted name order) for its whole read-compute-write.
-    """
-    executed = 0
-    for unit in units:
-        for label, iteration in unit.instances:
-            ctx = contexts[label]
-            stmt = ctx.statement
-            env = dict(zip(ctx.index_names, iteration))
-            if locks is None:
-                _execute_instance(stmt, env, store)
-            else:
-                arrays = sorted(
-                    {ref.array for ref in stmt.reads}
-                    | {ref.array for ref in stmt.writes}
-                )
-                with ExitStack() as stack:
-                    for name in arrays:
-                        stack.enter_context(locks[name])
-                    _execute_instance(stmt, env, store)
-            executed += 1
-    return executed
-
-
-def _run_rows(
-    label: str,
-    rows: np.ndarray,
-    contexts,
-    store,
-    locks: Optional[Mapping[str, threading.Lock]] = None,
-) -> int:
-    """Worker body for an :class:`ArrayPhase` slice: iterate the point rows
-    directly (no unit objects); returns the instance count."""
-    ctx = contexts[label]
-    stmt = ctx.statement
-    index_names = ctx.index_names
-    arrays = (
-        sorted({ref.array for ref in stmt.reads} | {ref.array for ref in stmt.writes})
-        if locks is not None
-        else None
-    )
-    executed = 0
-    for row in rows.tolist():
-        env = dict(zip(index_names, row))
-        if locks is None:
-            _execute_instance(stmt, env, store)
-        else:
-            with ExitStack() as stack:
-                for name in arrays:
-                    stack.enter_context(locks[name])
-                _execute_instance(stmt, env, store)
-        executed += 1
-    return executed
-
-
-def _run_unified_rows(
-    labels: Sequence[str],
-    depths: Sequence[int],
-    stmt_ids: np.ndarray,
-    rows: np.ndarray,
-    contexts,
-    store,
-    locks: Optional[Mapping[str, threading.Lock]] = None,
-) -> int:
-    """Worker body for a :class:`UnifiedArrayPhase` slice: rows are unified
-    index vectors with a parallel statement-id vector; the iteration vector is
-    the odd columns up to the statement's depth.  Returns the instance count."""
-    stmts = [contexts[label] for label in labels]
-    arrays_of = (
-        [
-            sorted(
-                {ref.array for ref in ctx.statement.reads}
-                | {ref.array for ref in ctx.statement.writes}
-            )
-            for ctx in stmts
-        ]
-        if locks is not None
-        else None
-    )
-    executed = 0
-    for sid, row in zip(stmt_ids.tolist(), rows.tolist()):
-        ctx = stmts[sid]
-        stmt = ctx.statement
-        env = dict(zip(ctx.index_names, row[1 : 2 * depths[sid] : 2]))
-        if locks is None:
-            _execute_instance(stmt, env, store)
-        else:
-            with ExitStack() as stack:
-                for name in arrays_of[sid]:
-                    stack.enter_context(locks[name])
-                _execute_instance(stmt, env, store)
-        executed += 1
-    return executed
-
-
 def _run_schedule_threaded(
     program: LoopProgram,
     schedule: Schedule,
@@ -185,65 +77,26 @@ def _run_schedule_threaded(
     """The ``threaded`` backend runner (see :mod:`repro.runtime.backends`):
     a real thread pool with barriers between phases, returning the unified
     :class:`~repro.runtime.backends.RunResult`."""
-    from .backends import PhaseStats, RunResult
+    from .backends import PhaseStats, RunResult, _resolve_rng
 
     n_threads = config.workers
     store = store if store is not None else make_store(program)
-    contexts = {ctx.statement.label: ctx for ctx in program.statement_contexts()}
     locks = None if config.lock_free else {name: threading.Lock() for name in store}
-    shuffle = rng is not None or config.seed is not None
-    if shuffle and rng is None:
-        rng = random.Random(config.seed)
+    runner = InstanceRunner(program, store, locks)
+    rng = _resolve_rng(config, rng)
     stats = []
     t_run = time.perf_counter()
     with ThreadPoolExecutor(max_workers=n_threads) as pool:
         for phase in schedule.phases:
             t0 = time.perf_counter()
-            if isinstance(phase, ArrayPhase):
-                # Array phases: round-robin the point rows themselves — each
-                # worker gets a strided view, no unit objects are built.
-                points = phase.points
-                if shuffle:
-                    order = list(range(len(points)))
-                    rng.shuffle(order)
-                    points = points[np.asarray(order, dtype=np.int64)]
-                futures = [
-                    pool.submit(_run_rows, phase.label, rows, contexts, store, locks)
-                    for rows in (
-                        points[k::n_threads] for k in range(n_threads)
-                    )
-                    if len(rows)
-                ]
-            elif isinstance(phase, UnifiedArrayPhase):
-                # Statement-level array phases: round-robin (stmt_id, row)
-                # pairs across the workers as strided views.
-                ids, rows = phase.stmt_ids, phase.rows
-                if shuffle:
-                    order = list(range(len(rows)))
-                    rng.shuffle(order)
-                    perm = np.asarray(order, dtype=np.int64)
-                    ids, rows = ids[perm], rows[perm]
-                futures = [
-                    pool.submit(
-                        _run_unified_rows, phase.labels, phase.depths,
-                        ids[k::n_threads], rows[k::n_threads],
-                        contexts, store, locks,
-                    )
-                    for k in range(n_threads)
-                    if len(rows[k::n_threads])
-                ]
-            else:
-                units = list(phase.units)
-                if shuffle:
-                    rng.shuffle(units)
-                # Round-robin the units across workers: deterministic
-                # distribution, arbitrary execution interleaving.
-                slices: List[List] = [units[k::n_threads] for k in range(n_threads)]
-                futures = [
-                    pool.submit(_run_units, s, contexts, store, locks)
-                    for s in slices
-                    if s
-                ]
+            lowered = lower_phase(phase, runner.label_ids)
+            units = unit_order(lowered.n_units, rng)
+            # Round-robin the units across workers: deterministic
+            # distribution, arbitrary execution interleaving.
+            futures = [
+                pool.submit(runner.run, lowered, units[k::n_threads])
+                for k in range(min(n_threads, len(units)))
+            ]
             # The implicit barrier: wait for every worker before the next phase.
             executed = 0
             for f in futures:

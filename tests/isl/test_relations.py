@@ -190,29 +190,6 @@ class TestArrayBackedRelation:
         src, dst = r.as_arrays()
         assert src.shape == (0, 2) and dst.shape == (0, 2)
 
-    def test_bulk_dom_ran_match_set_ops(self):
-        r = self.make()
-        codec = r.codec()
-        dom_pts = {tuple(p) for p in codec.decode(r.bulk_dom(codec)).tolist()}
-        ran_pts = {tuple(p) for p in codec.decode(r.bulk_ran(codec)).tolist()}
-        assert dom_pts == r.domain()
-        assert ran_pts == r.range()
-
-    def test_bulk_restrict_matches_set_restrict(self):
-        r = self.make()
-        domain = {(1, 1), (1, 2)}
-        rng = {(2, 3)}
-        codec = r.codec(np.array(sorted(domain | rng), dtype=np.int64))
-        dom_keys = np.unique(codec.encode(np.array(sorted(domain), dtype=np.int64)))
-        rng_keys = np.unique(codec.encode(np.array(sorted(rng), dtype=np.int64)))
-        assert r.bulk_restrict(codec, dom_keys, rng_keys) == r.restrict(domain, rng)
-        assert r.bulk_restrict(codec, dom_keys) == r.restrict(domain=domain)
-        # no-op restriction returns self
-        all_keys = np.unique(
-            np.concatenate([codec.encode(a) for a in r.as_arrays()])
-        )
-        assert r.bulk_restrict(codec, all_keys, all_keys) is r
-
     def test_oriented_forward_bulk_matches_scalar(self):
         # scale 2**40 overflows mixed-radix keys: dense ranks take over.
         for scale in (1, 2**40):

@@ -80,12 +80,12 @@ class TestThreadedExecution:
 
 
 class TestLockedPhaseKinds:
-    """lock_free=False exercises the per-array-lock worker bodies of all
+    """lock_free=False exercises the instance loop's per-array locks on all
     three phase kinds: unit phases (above), ArrayPhase and UnifiedArrayPhase."""
 
     def test_locked_array_phase_matches_sequential(self):
-        """The _run_rows lock path: ArrayPhase wavefronts under per-array
-        locks still produce the sequential result."""
+        """ArrayPhase wavefronts under per-array locks still produce the
+        sequential result."""
         from repro.core import ArrayPhase, PlanConfig, plan
 
         from repro.workloads.synthetic import large_uniform_loop
@@ -105,9 +105,9 @@ class TestLockedPhaseKinds:
         assert run.instances_executed == p.schedule.total_work
 
     def test_locked_unified_array_phase_matches_sequential(self):
-        """The _run_unified_rows lock path: statement-level UnifiedArrayPhase
-        wavefronts (multiple arrays per statement, sorted-lock acquisition)
-        under per-array locks still produce the sequential result."""
+        """Statement-level UnifiedArrayPhase wavefronts (multiple arrays per
+        statement, sorted-lock acquisition) under per-array locks still
+        produce the sequential result."""
         from repro.core import PlanConfig, UnifiedArrayPhase, plan
 
         from repro.workloads.synthetic import large_cholesky_nest
@@ -128,8 +128,8 @@ class TestLockedPhaseKinds:
         assert run.instances_executed == p.schedule.total_work
 
     def test_locked_unit_phase_multi_array(self):
-        """The _run_units lock path on an imperfect nest touching two arrays
-        (locks acquired in sorted name order, no deadlock)."""
+        """Tuple unit phases under locks on an imperfect nest touching two
+        arrays (locks acquired in sorted name order, no deadlock)."""
         from repro.workloads.examples import example3_loop
 
         from tuple_reference import ref_dataflow_branch
@@ -142,3 +142,45 @@ class TestLockedPhaseKinds:
         )
         for name in ref:
             assert np.array_equal(ref[name], run.store[name])
+
+    def test_runner_holds_sorted_locks_around_each_instance(self):
+        """Every instance takes the locks of all arrays its statement
+        touches, in sorted name order, and releases them in reverse."""
+        from repro.core import PlanConfig, plan
+        from repro.runtime.executor import InstanceRunner, lower_phase, make_store
+        from repro.workloads.synthetic import large_cholesky_nest
+
+        events = []
+
+        class RecordingLock:
+            def __init__(self, name):
+                self.name = name
+
+            def acquire(self):
+                events.append(("+", self.name))
+
+            def release(self):
+                events.append(("-", self.name))
+
+        prog = large_cholesky_nest(6)
+        config = PlanConfig(strategies=("dataflow",))
+        schedule = plan(prog, config=config, cache=False).schedule
+        store = make_store(prog)
+        runner = InstanceRunner(prog, store, {name: RecordingLock(name) for name in store})
+        for phase in schedule.phases:
+            runner.run(lower_phase(phase, runner.label_ids))
+        touched = [
+            sorted(set(ctx.statement.arrays())) for ctx in prog.statement_contexts()
+        ]
+        groups, k = [], 0
+        while k < len(events):
+            held = []
+            while events[k][0] == "+":
+                held.append(events[k][1])
+                k += 1
+            released = [name for _, name in events[k : k + len(held)]]
+            assert held in touched and released == held[::-1]
+            k += len(held)
+            groups.append(held)
+        assert len(groups) == schedule.total_work
+        assert any(len(g) > 1 for g in groups)
