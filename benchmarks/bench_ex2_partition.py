@@ -7,7 +7,7 @@ parallel phases versus the 5 sequential unique sets of the UNIQUE scheme.
 
 from repro.analysis.experiments import run_example2_partition
 from repro.baselines import unique_sets_schedule
-from repro.core import recurrence_chain_partition
+from repro.core import PlanConfig, plan
 from repro.workloads import example2_loop
 
 from conftest import emit, run_once
@@ -23,7 +23,7 @@ def test_example2_partition_n12(benchmark, report):
 
 def test_example2_rec_fewer_phases_than_unique(report):
     prog = example2_loop(30)
-    rec = recurrence_chain_partition(prog)
+    rec = plan(prog, config=PlanConfig(strategies=("recurrence-chains", "dataflow")))
     unique = unique_sets_schedule(prog, {})
     report(
         "Example 2 (N=30): phase counts",

@@ -12,8 +12,8 @@ schedule against the paper's PDM code (a DOALL over the L dimension).
 
 import argparse
 
+import repro
 from repro.analysis.experiments import _cholesky_pdm_schedule
-from repro.core import recurrence_chain_partition
 from repro.runtime import compare_schemes, validate_schedule
 from repro.workloads import cholesky_loop
 
@@ -30,7 +30,11 @@ def main() -> None:
     print(f"Cholesky kernel: NMAT={args.nmat}, M={args.m}, N={args.n}, NRHS={args.nrhs}")
     print(f"statements: {[s.label for s in program.statements()]}")
 
-    result = recurrence_chain_partition(program)
+    # Algorithm 1: the chain branch needs a single coupled pair, so the
+    # Cholesky kernel takes the dataflow branch.
+    result = repro.plan(
+        program, config=repro.PlanConfig(strategies=("recurrence-chains", "dataflow"))
+    )
     print(f"\nscheme               : {result.scheme}")
     print(f"partitioning steps   : {result.schedule.num_phases}  (paper: 238 at full size)")
     print(f"statement instances  : {result.schedule.total_work}")

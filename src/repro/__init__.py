@@ -70,8 +70,9 @@ plan for 'figure1' (params {}):
   - score dataflow 0.99: calibrated: 1.01x the bucket's best simulated time
 ...
 
-:class:`~repro.core.strategy.PlanConfig` centralises every knob — the
-selector, the pinned strategy order, ``force_dataflow``:
+:class:`~repro.core.strategy.PlanConfig` holds the planning knobs — the
+selector and the pinned strategy order (execution knobs go to
+``p.execute(...)``, so they never split the plan cache):
 
 >>> forced = repro.plan(prog, config=repro.PlanConfig(strategies=("pdm",)))
 >>> forced.scheme
@@ -119,12 +120,7 @@ report the warm paths they rode:
 >>> all((warm.result.store[a] == serial.store[a]).all() for a in warm.result.store)
 True
 
-Plans execute (``p.execute(threads=4)`` for the GIL-bound thread pool) and
-generate source (``p.codegen(target="python")``); the historical entry
-points — ``repro.core.recurrence_chain_partition``, the per-scheme
-``*_schedule`` functions, ``repro.runtime.execute_schedule`` and
-``repro.runtime.execute_schedule_threaded`` — remain as thin shims over the
-same machinery.
+Plans also generate source (``p.codegen(target="python")``).
 """
 
 from . import (

@@ -80,13 +80,16 @@ def pdm_schedule(
     program: LoopProgram,
     params: Optional[Mapping[str, int]] = None,
     analysis: Optional[DependenceAnalysis] = None,
+    partition: Optional[PDMPartition] = None,
 ) -> Schedule:
     """Schedule a perfect-nest program under the PDM scheme.
 
     The schedule is a single parallel phase (the outermost DOALL over cosets);
     each coset is one sequential unit in lexicographic order.  For programs
     with several statements the units carry every statement instance of the
-    iterations in the coset, still in sequential program order.
+    iterations in the coset, still in sequential program order.  A perfect
+    nest's ``partition`` (from :func:`pdm_partition` on the same analysis)
+    is reused instead of being rebuilt.
     """
     params = dict(params or {})
     analysis = analysis or DependenceAnalysis(program, params)
@@ -99,7 +102,8 @@ def pdm_schedule(
         labels = [s.label for s in program.statements()]
         space = analysis.iteration_space_points
         rd = analysis.iteration_dependences
-        partition = pdm_partition(space, rd)
+        if partition is None:
+            partition = pdm_partition(space, rd)
         units = []
         for key in sorted(partition.cosets):
             members = partition.cosets[key]

@@ -1,7 +1,7 @@
 """Algorithm 1 — the recurrence partitioning scheme, end to end.
 
-:func:`recurrence_chain_partition` implements the paper's Algorithm 1 for
-concrete parameter values and produces a :class:`~repro.core.schedule.Schedule`:
+This module implements the paper's Algorithm 1 for concrete parameter
+values; each branch produces a :class:`~repro.core.schedule.Schedule`:
 
 1. Build the unified iteration space Φ and the exact dependence relation Rd
    (iteration-level for perfect single-statement nests, statement-level via
@@ -24,14 +24,12 @@ lexicographic keys, sorted-array membership).
    PDM scheme (``repro.baselines.pdm``); :func:`recurrence_branch` raises
    :class:`PartitioningNotApplicable` so the fallback is an explicit decision.
 
-The two branches are exposed separately — :func:`recurrence_branch` (the
-Lemma 1 single-pair case) and :func:`dataflow_branch` (iterative dataflow
-partitioning) — because the strategy registry of :mod:`repro.core.strategy`
-registers them as two independent strategies of the unified ``plan()``
-facade.  :func:`recurrence_chain_partition` remains as a **thin shim** tying
-them together with the historical try/chains-else-dataflow dispatch; new code
-should call :func:`repro.plan` instead, which walks an explicit fallback
-chain over every registered scheme and records why strategies were skipped.
+The two branches — :func:`recurrence_branch` (the Lemma 1 single-pair case)
+and :func:`dataflow_branch` (iterative dataflow partitioning) — are two
+independent strategies of the :func:`repro.plan` facade
+(:mod:`repro.core.strategy`).  Algorithm 1's try-chains-else-dataflow
+dispatch is ``plan(program, config=PlanConfig(strategies=("recurrence-chains",
+"dataflow")))``, which also records why the chain branch was skipped.
 
 The returned schedule always satisfies (and the tests verify):
 ``schedule.covers(all statement instances)`` and
@@ -67,7 +65,6 @@ __all__ = [
     "RecurrencePartitionResult",
     "recurrence_branch",
     "dataflow_branch",
-    "recurrence_chain_partition",
     "three_phase_schedule",
 ]
 
@@ -309,29 +306,3 @@ def dataflow_branch(
         analysis=analysis,
     )
 
-
-def recurrence_chain_partition(
-    program: LoopProgram,
-    params: Optional[Mapping[str, int]] = None,
-    force_dataflow: bool = False,
-) -> RecurrencePartitionResult:
-    """Run Algorithm 1 on a program at concrete parameter values.
-
-    ``force_dataflow=True`` skips the single-pair branch even when it applies
-    (useful for comparing the two strategies on the same loop).
-
-    .. deprecated::
-        This is now a thin shim over :func:`recurrence_branch` /
-        :func:`dataflow_branch`, kept for callers written against the
-        original API.  New code should use :func:`repro.plan`, which walks
-        the full strategy fallback chain (recurrence-chains → dataflow →
-        PDM → …), records why strategies were skipped, and caches re-plans.
-    """
-    params = dict(params or {})
-    analysis = DependenceAnalysis(program, params)
-    if not force_dataflow:
-        try:
-            return recurrence_branch(program, params, analysis)
-        except PartitioningNotApplicable:
-            pass
-    return dataflow_branch(program, params, analysis)

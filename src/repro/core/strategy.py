@@ -25,12 +25,13 @@ This module puts one compiler-style facade in front of all of them:
   per-strategy scores and the skip reasons, replacing the old hand-rolled
   fallback idiom.  An explicit ``PlanConfig(strategies=...)`` order is
   honoured literally (no re-ranking);
-* :class:`PlanConfig` centralises the knobs that used to be scattered as
-  keyword arguments: ``force_dataflow``, the strategy preference order and
-  the executor's shuffle seed;
+* :class:`PlanConfig` holds the planning knobs only — the strategy
+  preference order and the selector; execution knobs live in
+  :class:`~repro.runtime.backends.ExecConfig`, so they never split the plan
+  cache;
 * :class:`Plan` is the single result object — schedule, partition/chain/
   statement-space diagnostics, chosen strategy, per-strategy timings — with
-  ``.execute(threads=…)``, ``.validate()`` and ``.codegen(target=…)``
+  ``.execute(...)``, ``.validate()`` and ``.codegen(target=…)``
   delegating to :mod:`repro.runtime` / :mod:`repro.codegen`;
 * an LRU :class:`PlanCache` keyed by ``(program fingerprint, params,
   config)`` makes repeated requests for the same loop nest (the serving
@@ -38,11 +39,11 @@ This module puts one compiler-style facade in front of all of them:
 
 Execution goes through the same pattern on the runtime side: the
 :mod:`repro.runtime.backends` registry of :class:`ExecutionBackend` s
-(``serial`` / ``threaded`` / ``process`` / ``simulated``) is reached via
-``Plan.execute(backend=..., workers=...)`` or a
-:class:`~repro.runtime.backends.ExecConfig` attached to
-:class:`PlanConfig`; the shared-memory process pool turns the planned
-phase/barrier schedules into wall-clock speedups on multi-core hosts.
+(``serial`` / ``threaded`` / ``process`` / ``simulated`` / ``compiled``) is
+reached via ``Plan.execute(backend=..., workers=...)``, a pass-through to
+:func:`repro.runtime.backends.execute`; the shared-memory process pool turns
+the planned phase/barrier schedules into wall-clock speedups on multi-core
+hosts.
 Future work — symbolic-partition codegen — plugs in as more
 strategies/targets behind the same facade.
 """
@@ -68,7 +69,6 @@ from typing import (
 
 from ..dependence.analysis import DependenceAnalysis, ImperfectNestError
 from ..ir.program import LoopProgram
-from ..runtime.backends import ExecConfig
 from .chains import MonotonicChain
 from .partition import ThreeSetPartition
 from .partitioner import (
@@ -120,20 +120,21 @@ DEFAULT_SELECTOR = "table"
 
 @dataclass(frozen=True)
 class PlanConfig:
-    """Every knob of the planning pipeline, in one hashable object.
+    """Every knob of the planning pipeline, in one hashable object (and part
+    of the :class:`PlanCache` key, so it holds nothing execution-only).
 
     ``engine``
         Accepts only ``"auto"``.  The set and vector engines were merged into
         one array representation; the field stays only so callers passing
         ``engine="auto"`` keep working.
-    ``force_dataflow``
-        Skip the recurrence-chains strategy even when it applies — the old
-        ``recurrence_chain_partition(force_dataflow=True)`` knob.
     ``strategies``
         Explicit strategy preference order (names from the registry); the
         first applicable one wins and **no selector re-ranking happens** — a
         pinned order is honoured literally.  ``None`` means the registry's
         chain, ranked by the configured selector.
+        ``("recurrence-chains", "dataflow")`` is Algorithm 1 on its own
+        (chains when Lemma 1 applies, else dataflow peeling);
+        ``("dataflow",)`` skips the chain branch.
     ``selector``
         How the registry chain is ordered when ``strategies`` is ``None``:
         ``"table"`` (default — the calibrated workload table, falling back
@@ -141,24 +142,11 @@ class PlanConfig:
         (rank by each strategy's ``score(features)`` hook) or ``"fixed"``
         (the historical registration-order fallback chain, bit-identical to
         the pre-selector dispatch).
-    ``rng_seed``
-        Default intra-phase shuffle seed used by :meth:`Plan.execute`
-        (``None`` disables shuffling, matching the executors' contract).
-    ``exec_config``
-        Default :class:`~repro.runtime.backends.ExecConfig` for
-        :meth:`Plan.execute`: when set, a bare ``plan.execute()`` runs
-        through the execution-backend registry (``serial`` / ``threaded`` /
-        ``process`` / ``simulated``) with these knobs and returns the
-        unified :class:`~repro.runtime.backends.RunResult`.  ``None`` keeps
-        the historical behaviour (bare store / :class:`ThreadedRun`).
     """
 
     engine: str = "auto"
-    force_dataflow: bool = False
     strategies: Optional[Tuple[str, ...]] = None
     selector: str = DEFAULT_SELECTOR
-    rng_seed: Optional[int] = 0
-    exec_config: Optional[ExecConfig] = None
 
     def __post_init__(self):
         if self.engine != "auto":
@@ -173,8 +161,6 @@ class PlanConfig:
             )
         if self.strategies is not None:
             object.__setattr__(self, "strategies", tuple(self.strategies))
-        if self.exec_config is not None and not isinstance(self.exec_config, ExecConfig):
-            raise TypeError("exec_config must be an ExecConfig (or None)")
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +285,6 @@ def strategy_table() -> List[Dict[str, str]]:
 
 
 def _rec_applicability(ctx: PlanningContext) -> Optional[str]:
-    if ctx.config.force_dataflow:
-        return "disabled by PlanConfig(force_dataflow=True)"
     return recurrence_not_applicable_reason(ctx.analysis)
 
 
@@ -338,12 +322,12 @@ def _perfect_nest_only(ctx: PlanningContext) -> Optional[str]:
 def _pdm_builder(ctx: PlanningContext) -> StrategyBuild:
     from ..baselines.pdm import pdm_partition, pdm_schedule
 
-    schedule = pdm_schedule(ctx.program, ctx.params, ctx.analysis)
     partition = None
     if ctx.is_perfect_nest:
         partition = pdm_partition(
             ctx.analysis.iteration_space_points, ctx.analysis.iteration_dependences
         )
+    schedule = pdm_schedule(ctx.program, ctx.params, ctx.analysis, partition=partition)
     return StrategyBuild(schedule=schedule, partition=partition)
 
 
@@ -848,81 +832,21 @@ class Plan:
 
     # -- delegation to runtime / codegen ---------------------------------------
 
-    _UNSET = object()
+    def execute(self, store=None, config=None, rng=None, **overrides):
+        """Run the plan's schedule: :func:`repro.runtime.backends.execute`
+        on this plan's program, schedule and params, returning its
+        :class:`~repro.runtime.backends.RunResult`.
 
-    def execute(
-        self,
-        threads: Optional[int] = None,
-        store=None,
-        seed=_UNSET,
-        rng=None,
-        lock_free: bool = True,
-        backend: Optional[str] = None,
-        workers: Optional[int] = None,
-    ):
-        """Run the plan's schedule over concrete arrays.
-
-        Three entry styles, newest first:
-
-        * ``backend="serial" | "threaded" | "process" | "simulated"`` (plus
-          ``workers=k``) runs through the execution-backend registry
-          (:mod:`repro.runtime.backends`) and returns the unified
-          :class:`~repro.runtime.backends.RunResult` —
-          ``plan(...).execute(backend="process", workers=4)`` is the
-          multi-core path;
-        * a :class:`PlanConfig` carrying ``exec_config`` makes a bare
-          ``execute()`` take the same registry path with those defaults
-          (``backend=`` / ``workers=`` still override per call);
-        * historically, ``threads=None`` uses the shuffled single-thread
-          executor and returns the bare array store, while ``threads=k``
-          uses the thread pool and returns a
-          :class:`~repro.runtime.threaded.ThreadedRun` — both preserved
-          verbatim for existing callers.
-
-        ``seed`` defaults to ``config.rng_seed`` (or the ``exec_config``'s
-        seed when one is set); pass ``seed=None`` (and no ``rng``) to
-        disable intra-phase shuffling.
+        ``config`` is an :class:`~repro.runtime.backends.ExecConfig`;
+        keyword ``overrides`` (``backend=``, ``workers=``, ``seed=``, ...)
+        apply on top — ``plan(...).execute(backend="process", workers=4)``
+        is the multi-core path.
         """
-        if backend is not None or (
-            self.config.exec_config is not None and threads is None
-        ):
-            from dataclasses import replace
+        from ..runtime.backends import execute
 
-            from ..runtime.backends import execute
-
-            base = self.config.exec_config
-            if base is None:
-                base = ExecConfig(seed=self.config.rng_seed)
-            overrides = {}
-            if backend is not None:
-                overrides["backend"] = backend
-            if workers is not None:
-                overrides["workers"] = workers
-            elif threads is not None:
-                overrides["workers"] = threads
-            if seed is not Plan._UNSET:
-                overrides["seed"] = seed
-            if not lock_free:
-                overrides["lock_free"] = False
-            cfg = replace(base, **overrides) if overrides else base
-            return execute(
-                self.program, self.schedule, self.params, store=store,
-                config=cfg, rng=rng,
-            )
-
-        from ..runtime.executor import execute_schedule
-        from ..runtime.threaded import execute_schedule_threaded
-
-        if seed is Plan._UNSET:
-            seed = self.config.rng_seed
-        if threads is None:
-            return execute_schedule(
-                self.program, self.schedule, self.params, store=store,
-                seed=seed, rng=rng,
-            )
-        return execute_schedule_threaded(
-            self.program, self.schedule, self.params, n_threads=threads,
-            store=store, lock_free=lock_free, seed=seed, rng=rng,
+        return execute(
+            self.program, self.schedule, self.params, store=store,
+            config=config, rng=rng, **overrides,
         )
 
     def validate(self, seeds: Sequence[int] = (0, 1, 2)):
@@ -1157,9 +1081,8 @@ def plan(
     )
     # How the chain is ordered: an explicit PlanConfig.strategies tuple is
     # honoured literally (no feature extraction, no re-ranking), as is a
-    # single-name chain; force_dataflow keeps the historical fixed walk so
-    # "skip chains, take the dataflow branch" stays deterministic.
-    # Otherwise the configured selector ranks the registry.
+    # single-name chain.  Otherwise the configured selector ranks the
+    # registry.
     if config.strategies is not None:
         selection = SelectionReport(
             selector=config.selector,
@@ -1173,12 +1096,7 @@ def plan(
             source="single-strategy chain",
         )
     else:
-        name = "fixed" if config.force_dataflow else config.selector
-        order, selection = get_selector(name).rank(ctx, tuple(order))
-        if config.force_dataflow and config.selector != "fixed":
-            selection = replace(
-                selection, source="fixed chain (force_dataflow)"
-            )
+        order, selection = get_selector(config.selector).rank(ctx, tuple(order))
     chosen: Optional[PartitionStrategy] = None
     build: Optional[StrategyBuild] = None
     for name in order:

@@ -19,7 +19,7 @@ from typing import Iterable, Set, Tuple, Union
 
 import numpy as np
 
-from ..isl.relations import FiniteRelation, PointCodec, in_sorted
+from ..isl.relations import FiniteRelation, in_sorted, lex_keys
 from .pair import ReferencePair
 
 __all__ = [
@@ -60,23 +60,16 @@ def is_uniform_relation(
     relation, every point ``p`` with ``p+d`` in the space must satisfy
     ``(p, p+d) ∈ relation``.
 
-    ``space_points`` may be an ``(n, dim)`` int array, in which case the check
-    runs on the vectorised array form (:func:`is_uniform_relation_arrays`).
+    ``space_points`` is an ``(n, dim)`` int array or an iterable of point
+    tuples, converted to the array up front; the check runs on the array
+    form (:func:`is_uniform_relation_arrays`).
     """
-    if isinstance(space_points, np.ndarray):
-        try:
-            return is_uniform_relation_arrays(relation, space_points)
-        except ValueError:
-            # Key overflow or heterogeneous dims: per-point fallback below.
-            space_points = [tuple(p) for p in space_points.tolist()]
-    points = set(tuple(p) for p in space_points)
-    pair_set = set(relation.pairs)
-    for d in relation.distances():
-        for p in points:
-            q = tuple(x + y for x, y in zip(p, d))
-            if q in points and (p, q) not in pair_set:
-                return False
-    return True
+    if not isinstance(space_points, np.ndarray):
+        points = [tuple(p) for p in space_points]
+        space_points = np.asarray(points, dtype=np.int64)
+        if space_points.ndim != 2:  # no points: shape (0,)
+            space_points = space_points.reshape(len(points), relation.dim_in)
+    return is_uniform_relation_arrays(relation, space_points)
 
 
 def is_uniform_relation_arrays(relation: FiniteRelation, space: np.ndarray) -> bool:
@@ -88,8 +81,9 @@ def is_uniform_relation_arrays(relation: FiniteRelation, space: np.ndarray) -> b
     dependences are uniform iff for every distance appearing in the relation
     the two cardinalities agree.  Pairs with an endpoint outside ``space``
     contribute their distance but not their count — exactly matching the
-    per-point definition check.  Raises :class:`ValueError` when the point box
-    overflows int64 lexicographic keys.
+    per-point definition check.  Rows are compared through
+    :func:`~repro.isl.relations.lex_keys`, so a point box that overflows
+    int64 mixed-radix keys is keyed by dense row rank on the same path.
     """
     space = np.asarray(space, dtype=np.int64)
     if relation.is_empty():
@@ -99,28 +93,28 @@ def is_uniform_relation_arrays(relation: FiniteRelation, space: np.ndarray) -> b
     if relation.dim_in == 0:
         # Rank-0 space: the only possible pair is () -> (), trivially uniform.
         return True
-    if len(space):
-        # The space is a *set* of points: duplicate rows must not inflate the
-        # valid-placement counts (the tuple path dedups via set()).
-        space = np.unique(space, axis=0)
+    if not len(space):
+        # No pair lies in an empty space, and no placement does either.
+        return True
     src, dst = relation.as_arrays()
-    codec = PointCodec.for_arrays(space, src, dst)
-    space_keys = np.unique(codec.encode(space))
-    pair_in_space = in_sorted(codec.encode(src), space_keys) & in_sorted(
-        codec.encode(dst), space_keys
-    )
-    diffs = dst - src
-    have: dict = {}
-    if pair_in_space.any():
-        in_dists, in_counts = np.unique(
-            diffs[pair_in_space], axis=0, return_counts=True
-        )
-        have = dict(zip(map(tuple, in_dists.tolist()), in_counts.tolist()))
-    for d in np.unique(diffs, axis=0):
+    (space_keys, src_keys, dst_keys), decode = lex_keys(space, src, dst)
+    # The space is a *set* of points: duplicate rows must not inflate the
+    # valid-placement counts.  np.unique also sorts the keys, and decoding
+    # them gives the distinct rows in lexicographic order.
+    space_keys = np.unique(space_keys)
+    space = decode(space_keys)
+    pair_in_space = in_sorted(src_keys, space_keys) & in_sorted(dst_keys, space_keys)
+    (diff_keys,), decode_diff = lex_keys(dst - src)
+    dist_keys, owner = np.unique(diff_keys, return_inverse=True)
+    have = np.bincount(owner.reshape(-1)[pair_in_space], minlength=len(dist_keys))
+    lo, hi = space.min(axis=0), space.max(axis=0)
+    for d, count in zip(decode_diff(dist_keys), have.tolist()):
         shifted = space + d
-        in_box = codec.contains(shifted)
-        valid = int(in_sorted(codec.encode(shifted[in_box]), space_keys).sum())
-        if valid != have.get(tuple(d.tolist()), 0):
+        # Rows outside the space's box cannot be in it; dropping them keeps
+        # the keyed box the space's own.
+        shifted = shifted[((shifted >= lo) & (shifted <= hi)).all(axis=1)]
+        (keys, shifted_keys), _ = lex_keys(space, shifted)
+        if int(in_sorted(shifted_keys, keys).sum()) != count:
             return False
     return True
 

@@ -2,12 +2,11 @@
 
 * :mod:`repro.runtime.backends` — the **execution-backend registry**: one
   :func:`~repro.runtime.backends.execute` entry point over the registered
-  ``serial`` / ``threaded`` / ``process`` / ``simulated`` backends, all
-  returning a unified :class:`~repro.runtime.backends.RunResult`;
-* :mod:`repro.runtime.executor` — sequential reference execution, exact
-  semantic validation, and the historical ``execute_schedule`` shim;
-* :mod:`repro.runtime.threaded` — the thread-pool backend (correctness under
-  true concurrency) and the historical ``execute_schedule_threaded`` shim;
+  ``serial`` / ``threaded`` / ``process`` / ``simulated`` / ``compiled``
+  backends, all returning a unified :class:`~repro.runtime.backends.RunResult`;
+* :mod:`repro.runtime.executor` — sequential reference execution, the one
+  instance loop every executing backend shares, and exact semantic
+  validation;
 * :mod:`repro.runtime.process` / :mod:`repro.runtime.shm` — the
   shared-memory process pool: arrays in one ``multiprocessing.shared_memory``
   segment, attach-once workers, phase barriers — wall-clock speedups on
@@ -34,7 +33,6 @@ from .backends import (
 from .executor import (
     ArrayStore,
     ValidationReport,
-    execute_schedule,
     execute_sequential,
     make_store,
     validate_schedule,
@@ -48,13 +46,11 @@ from .metrics import (
     schedule_parallelism,
 )
 from .simulator import CostModel, SimulationResult, simulate_schedule, speedup_curve
-from .threaded import ThreadedRun, execute_schedule_threaded
 
 __all__ = [
     "ArrayStore",
     "make_store",
     "execute_sequential",
-    "execute_schedule",
     "validate_schedule",
     "ValidationReport",
     "execute",
@@ -67,8 +63,6 @@ __all__ = [
     "get_backend",
     "backend_names",
     "backend_table",
-    "execute_schedule_threaded",
-    "ThreadedRun",
     "CostModel",
     "SimulationResult",
     "simulate_schedule",

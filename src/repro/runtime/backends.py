@@ -1,24 +1,18 @@
 """The execution-backend registry: one entry point for running schedules.
 
 Symmetric to the planning side's :class:`~repro.core.strategy.PartitionStrategy`
-registry: where ``plan()`` put one facade in front of eight partitioning
-schemes, this module puts one facade in front of the runtime's executors.
-Historically execution was three divergent entry points with inconsistent
-signatures — ``execute_sequential`` / ``execute_schedule`` (returning a bare
-store, shuffle seed defaulting to ``0``) / ``execute_schedule_threaded``
-(returning a :class:`~repro.runtime.threaded.ThreadedRun`, seed defaulting to
-``None``) — plus the cost-model simulator off to the side.  Now every way of
-running a schedule is an :class:`ExecutionBackend` in a registry, takes the
-same ``(program, schedule, params, store, ExecConfig)`` inputs and returns
-the same :class:`RunResult` (final store + per-phase instance/worker/timing
-counters):
+registry: where ``plan()`` puts one facade in front of the partitioning
+schemes, :func:`execute` puts one facade in front of the runtime's executors.
+Every way of running a schedule is an :class:`ExecutionBackend` in a
+registry, takes the same ``(program, schedule, params, store, ExecConfig)``
+inputs and returns the same :class:`RunResult` (final store + per-phase
+instance/worker/timing counters):
 
 ``serial``
-    the shuffled single-process executor (the old ``execute_schedule``
-    loop);
+    one process, phases in order, units shuffled inside each phase;
 ``threaded``
-    the real thread pool with phase barriers — correctness under true
-    concurrency, GIL-bound for speed;
+    a thread pool with phase barriers — correctness under true concurrency,
+    GIL-bound for speed;
 ``process``
     the ``multiprocessing.shared_memory`` worker pool
     (:mod:`repro.runtime.process`): arrays live in one shared segment,
@@ -36,25 +30,27 @@ counters):
     with the reason recorded in ``RunResult.meta``.
 
 ``serial``, ``threaded`` and ``process`` differ only in who runs which
-units: each lowers a phase with :func:`~repro.runtime.executor.lower_phase`
-and executes its share through one
-:class:`~repro.runtime.executor.InstanceRunner` loop (integer subscript
+units.  All three go through one phase loop (:func:`_run_phases`, which
+times each phase into a :class:`PhaseStats` and builds the
+:class:`RunResult`); each lowers a phase with
+:func:`~repro.runtime.executor.lower_phase` and executes its share through
+one :class:`~repro.runtime.executor.InstanceRunner` (integer subscript
 kernels, fixed-size blocks), which is what keeps them bit-identical to each
 other and to the ``Fraction``-exact
 :func:`~repro.runtime.executor.execute_sequential` oracle.
 
-The historical entry points live on as thin shims over the registry, and
-:meth:`Plan.execute(backend=...) <repro.core.strategy.Plan.execute>` reaches
-the same registry through the planning facade.  Third-party executors (a GPU
-runner, a free-threaded pool) plug in via :func:`register_backend` without
-touching any call site.
+:meth:`Plan.execute <repro.core.strategy.Plan.execute>` is a pass-through to
+:func:`execute`.  Third-party executors (a GPU runner, a free-threaded pool)
+plug in via :func:`register_backend` without touching any call site.
 """
 
 from __future__ import annotations
 
 import random
+import threading
 import time
 from collections import OrderedDict
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
@@ -88,8 +84,7 @@ _MP_CONTEXTS = (None, "fork", "spawn", "forkserver")
 class ExecConfig:
     """Every knob of schedule execution, in one hashable object.
 
-    The execution twin of :class:`~repro.core.strategy.PlanConfig` (and
-    attachable to it as ``PlanConfig(exec_config=...)``):
+    The execution twin of :class:`~repro.core.strategy.PlanConfig`:
 
     ``backend``
         Registry name of the executor: ``"serial"``, ``"threaded"``,
@@ -98,15 +93,13 @@ class ExecConfig:
         Thread/process/processor count for the parallel backends; the serial
         backend ignores it.
     ``seed``
-        Intra-phase shuffle seed (``None`` disables shuffling).  One default
-        (``0``) for every backend — the historical executors disagreed
-        (``execute_schedule`` shuffled by default, the threaded entry point
-        did not); the shims preserve their old defaults.
+        Intra-phase shuffle seed (``None`` disables shuffling); the same
+        default (``0``) for every backend.
     ``lock_free``
         Threaded backend only: ``False`` adds per-array locks around each
-        instance.  The process backend rejects ``False`` (cross-process
-        locking would serialise the pool; its schedules are race-free by
-        construction).
+        instance (see :func:`_threaded_runner`).  The process backend
+        rejects ``False`` (cross-process locking would serialise the pool;
+        its schedules are race-free by construction).
     ``mp_context``
         Process backend: multiprocessing start method (``None`` = ``fork``
         where available, else ``spawn``).
@@ -148,10 +141,12 @@ class PhaseStats:
 class RunResult:
     """The unified result of executing a schedule through any backend.
 
-    Supersedes :class:`~repro.runtime.threaded.ThreadedRun`: the final store
-    plus per-phase instance/worker/timing counters, the same shape whether
-    the run was serial, threaded, multi-process or simulated (a simulated
-    run's ``store`` is ``None`` — nothing was executed).  Feed it to
+    The final store plus per-phase instance/worker/timing counters, the
+    same shape whether the run was serial, threaded, multi-process or
+    simulated (a simulated run's ``store`` is ``None`` — nothing was
+    executed).  ``elapsed_s`` is the wall time of the phase loop; set-up
+    such as a pool start or the shared-memory copies falls outside it.
+    Feed it to
     :func:`repro.runtime.metrics.run_metrics` /
     :func:`repro.runtime.metrics.measured_speedups` for reporting.
     """
@@ -276,7 +271,7 @@ def execute(
     are applied on top via :func:`dataclasses.replace`, so one-off calls
     don't need to build a config — ``execute(prog, sched, backend="process",
     workers=4)``.  ``rng`` supplies a caller-owned shuffle generator
-    (overrides ``seed``), mirroring the historical executors.
+    (overrides ``seed``).
 
     ``pool`` injects a live :class:`~repro.runtime.process.ProcessPool`
     (``backend="process"`` only): the run attaches a fresh shared store to
@@ -324,6 +319,35 @@ def _resolve_rng(
 # ---------------------------------------------------------------------------
 
 
+def _run_phases(
+    schedule: Schedule,
+    run_phase: Callable[[object], Tuple[int, int]],
+    store: ArrayStore,
+    backend: str,
+    workers: int,
+    meta: Optional[Dict[str, object]] = None,
+) -> RunResult:
+    """The phase loop of every executing backend: phases in order, each run
+    by ``run_phase(phase) -> (instances, workers used)`` and timed into a
+    :class:`PhaseStats`.  Returning from ``run_phase`` is the barrier."""
+    stats: List[PhaseStats] = []
+    t_run = time.perf_counter()
+    for phase in schedule.phases:
+        t0 = time.perf_counter()
+        executed, used = run_phase(phase)
+        stats.append(
+            PhaseStats(phase.name, executed, len(phase), used, time.perf_counter() - t0)
+        )
+    return RunResult(
+        store=store,
+        backend=backend,
+        workers=workers,
+        phase_stats=tuple(stats),
+        elapsed_s=time.perf_counter() - t_run,
+        meta=meta or {},
+    )
+
+
 def _serial_runner(
     program: LoopProgram,
     schedule: Schedule,
@@ -336,22 +360,12 @@ def _serial_runner(
     store = store if store is not None else make_store(program)
     runner = InstanceRunner(program, store)
     rng = _resolve_rng(config, rng)
-    stats: List[PhaseStats] = []
-    t_run = time.perf_counter()
-    for phase in schedule.phases:
-        t0 = time.perf_counter()
+
+    def run_phase(phase):
         lowered = lower_phase(phase, runner.label_ids)
-        executed = runner.run(lowered, unit_order(lowered.n_units, rng))
-        stats.append(
-            PhaseStats(phase.name, executed, len(phase), 1, time.perf_counter() - t0)
-        )
-    return RunResult(
-        store=store,
-        backend="serial",
-        workers=1,
-        phase_stats=tuple(stats),
-        elapsed_s=time.perf_counter() - t_run,
-    )
+        return runner.run(lowered, unit_order(lowered.n_units, rng)), 1
+
+    return _run_phases(schedule, run_phase, store, "serial", 1)
 
 
 def _threaded_runner(
@@ -362,9 +376,43 @@ def _threaded_runner(
     config: ExecConfig,
     rng: Optional[random.Random],
 ) -> RunResult:
-    from .threaded import _run_schedule_threaded
+    """A thread pool over the shared arrays, a barrier between phases.
 
-    return _run_schedule_threaded(program, schedule, params, store, config, rng)
+    Each phase's shuffled units are dealt round-robin to ``config.workers``
+    threads: a deterministic distribution with an arbitrary interleaving, so
+    a schedule that is only correct under some lucky intra-phase order is
+    exposed.  The GIL serialises the instance loop, so this shows
+    correctness under real concurrency, not speed (``process`` is the
+    backend for wall-clock speedups).
+
+    Lock order: execution is lock-free by default, since a partition-derived
+    schedule is race-free inside a phase.  ``lock_free=False`` gives every
+    array a lock; the runner holds all locks of an instance's arrays around
+    it, acquired in sorted array-name order (so two instances can never
+    deadlock) — for schedules of unvalidated provenance, at the cost of
+    serialising most of the phase.
+    """
+    store = store if store is not None else make_store(program)
+    locks = None if config.lock_free else {name: threading.Lock() for name in store}
+    runner = InstanceRunner(program, store, locks)
+    rng = _resolve_rng(config, rng)
+    n_threads = config.workers
+
+    with ThreadPoolExecutor(max_workers=n_threads) as pool:
+
+        def run_phase(phase):
+            lowered = lower_phase(phase, runner.label_ids)
+            units = unit_order(lowered.n_units, rng)
+            futures = [
+                pool.submit(runner.run, lowered, units[k::n_threads])
+                for k in range(min(n_threads, len(units)))
+            ]
+            return sum(f.result() for f in futures), len(futures)
+
+        return _run_phases(
+            schedule, run_phase, store, "threaded", n_threads,
+            {"lock_free": config.lock_free},
+        )
 
 
 def _process_runner(
@@ -376,6 +424,14 @@ def _process_runner(
     rng: Optional[random.Random],
     pool=None,
 ) -> RunResult:
+    """Attach the store to a worker pool, run the phases, copy the shared
+    arrays back into the caller's store and detach.
+
+    ``pool`` is a caller-owned warm pool (the serving path); without one the
+    run starts its own ``ProcessPool(program, workers=, mp_context=)`` and
+    shuts it down afterwards.  Either way ``detach_store`` in a ``finally``
+    destroys the per-run segment, even on a worker crash.
+    """
     from .process import ProcessPool
 
     if not config.lock_free:
@@ -386,60 +442,28 @@ def _process_runner(
         )
     store = store if store is not None else make_store(program)
     rng = _resolve_rng(config, rng)
-    stats: List[PhaseStats] = []
-    t_run = time.perf_counter()
-
-    if pool is not None:
-        # Warm path: the caller owns a running pool; this run only ships a
-        # fresh descriptor table and the phase slices.  detach_store() in the
-        # finally destroys the per-request segment even on a worker crash.
+    owned = pool is None
+    if owned:
+        pool = ProcessPool(program, workers=config.workers, mp_context=config.mp_context)
+    meta: Dict[str, object] = {"start_method": pool.start_method}
+    if not owned:
+        meta["pool"] = "injected"
+    try:
         pool.attach_store(store)
         try:
-            for phase in schedule.phases:
-                t0 = time.perf_counter()
-                executed, tasks = pool.run_phase(phase, rng)
-                stats.append(
-                    PhaseStats(
-                        phase.name, executed, len(phase), tasks,
-                        time.perf_counter() - t0,
-                    )
-                )
+            result = _run_phases(
+                schedule, lambda phase: pool.run_phase(phase, rng),
+                store, "process", pool.workers, meta,
+            )
+            # The shared segment is authoritative; fill the caller's store
+            # so the mutate-in-place contract matches every other backend.
             pool.copy_out(store)
         finally:
             pool.detach_store()
-        return RunResult(
-            store=store,
-            backend="process",
-            workers=pool.workers,
-            phase_stats=tuple(stats),
-            elapsed_s=time.perf_counter() - t_run,
-            meta={"start_method": pool.start_method, "pool": "injected"},
-        )
-
-    with ProcessPool(
-        program, store, workers=config.workers, mp_context=config.mp_context
-    ) as owned:
-        start_method = owned.start_method
-        for phase in schedule.phases:
-            t0 = time.perf_counter()
-            executed, tasks = owned.run_phase(phase, rng)
-            stats.append(
-                PhaseStats(
-                    phase.name, executed, len(phase), tasks,
-                    time.perf_counter() - t0,
-                )
-            )
-        # The shared segment is authoritative; fill the caller's store so the
-        # mutate-in-place contract matches every other backend.
-        owned.copy_out(store)
-    return RunResult(
-        store=store,
-        backend="process",
-        workers=config.workers,
-        phase_stats=tuple(stats),
-        elapsed_s=time.perf_counter() - t_run,
-        meta={"start_method": start_method},
-    )
+    finally:
+        if owned:
+            pool.shutdown()
+    return result
 
 
 def _process_available() -> Optional[str]:

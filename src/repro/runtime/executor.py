@@ -18,8 +18,8 @@ Two execution paths are provided, deliberately independent of each other:
   (:func:`unit_order`) to emulate concurrent execution: a schedule that is
   only correct under some lucky intra-phase ordering is exposed.  Instances
   inside a unit keep their order (a WHILE chain is sequential by
-  construction).  :func:`execute_schedule` is the historical shim over the
-  ``serial`` backend of :mod:`repro.runtime.backends`.
+  construction).  :func:`repro.runtime.backends.execute` is the entry point
+  that drives them.
 
 Array stores are dictionaries ``name -> numpy int64 array``; statement
 semantics are exact integer functions (see :mod:`repro.ir.semantics`), so
@@ -47,7 +47,6 @@ __all__ = [
     "ArrayStore",
     "make_store",
     "execute_sequential",
-    "execute_schedule",
     "validate_schedule",
     "ValidationReport",
 ]
@@ -339,38 +338,6 @@ def execute_sequential(
     return store
 
 
-def execute_schedule(
-    program: LoopProgram,
-    schedule: Schedule,
-    params: Mapping[str, int] | None = None,
-    store: Optional[ArrayStore] = None,
-    seed: Optional[int] = 0,
-    rng: Optional[random.Random] = None,
-) -> ArrayStore:
-    """Run a partitioned schedule phase by phase; returns the final store.
-
-    A thin shim over the ``serial`` backend of the
-    :mod:`repro.runtime.backends` registry, kept for its historical
-    signature/return (a bare store); new call sites should use
-    :func:`repro.runtime.backends.execute`, which also reports per-phase
-    counters.
-
-    Within each phase the units are executed in a shuffled order to emulate an
-    arbitrary interleaving of the parallel units; inside a unit the instance
-    order is preserved.  The shuffle draws from a private ``random.Random``
-    (never the global module state): pass ``rng`` to supply your own generator
-    — fully reproducible and side-effect-free — or ``seed`` to have one
-    created; ``seed=None`` with no ``rng`` disables shuffling (phase order as
-    built).
-    """
-    from .backends import ExecConfig, execute
-
-    return execute(
-        program, schedule, params, store=store,
-        config=ExecConfig(backend="serial", seed=seed), rng=rng,
-    ).store
-
-
 @dataclass(frozen=True)
 class ValidationReport:
     """Result of validating a schedule against the sequential execution."""
@@ -429,8 +396,10 @@ def validate_schedule(
     reference = execute_sequential(program, params)
     arrays_match = True
     mismatched: List[str] = []
+    from .backends import execute
+
     for seed in seeds:
-        result = execute_schedule(program, schedule, params, seed=seed)
+        result = execute(program, schedule, params, seed=seed).store
         for name in reference:
             if not np.array_equal(reference[name], result[name]):
                 arrays_match = False

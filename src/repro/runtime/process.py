@@ -1,9 +1,9 @@
 """The shared-memory process pool behind the ``process`` execution backend.
 
-This is the executor the ROADMAP asked for: real wall-clock parallelism for
-the phase/barrier schedules.  :mod:`repro.runtime.threaded` proves
-*correctness* under concurrency but the GIL serialises the Python instance
-loop; here each phase's work is executed by a pool of **processes**
+Real wall-clock parallelism for the phase/barrier schedules.  The
+``threaded`` backend proves *correctness* under concurrency but the GIL
+serialises the Python instance loop; here each phase's work is executed by
+a pool of **processes**
 sharing the program's arrays through one ``multiprocessing.shared_memory``
 segment (see :mod:`repro.runtime.shm`), so DOALL phases genuinely overlap on
 multi-core hosts while keeping the shared-mutable-array semantics the paper's
@@ -164,10 +164,9 @@ class ProcessPool:
     parent :meth:`attach_store` packs the caller's arrays into a fresh shared
     segment and broadcasts only its descriptor table, so a serving daemon can
     keep one warm pool across many requests and pay per request only the
-    segment pack + two control round-trips (never a worker fork).  Passing
-    ``store`` to the constructor attaches it immediately — the historical
-    one-shot shape.  Use as a context manager; :meth:`run_phase` blocks until
-    every shipped task acknowledged — the phase barrier.
+    segment pack + two control round-trips (never a worker fork).  Use as a
+    context manager; :meth:`run_phase` blocks until every shipped task
+    acknowledged — the phase barrier.
 
     A worker death or in-flight failure marks the pool :attr:`broken`
     (acknowledgements may be lost, so reuse would be unsound); every teardown
@@ -177,7 +176,6 @@ class ProcessPool:
     def __init__(
         self,
         program: LoopProgram,
-        store: Optional[Dict[str, np.ndarray]] = None,
         workers: int = 1,
         mp_context: Optional[str] = None,
     ):
@@ -204,8 +202,6 @@ class ProcessPool:
                 )
                 p.start()
                 self._procs.append(p)
-            if store is not None:
-                self.attach_store(store)
         except Exception:
             self.shutdown()
             raise

@@ -70,8 +70,9 @@ __all__ = [
 MAGIC = b"RPLN"
 
 #: Bumped on any incompatible change to the frame layout or header schema
-#: (2: the ``PlanConfig`` header dropped its engine and bulk-threshold fields).
-PROTOCOL_VERSION = 2
+#: (2: the ``PlanConfig`` header dropped its engine and bulk-threshold fields;
+#: 3: it keeps only the planning knobs ``strategies`` and ``selector``).
+PROTOCOL_VERSION = 3
 
 #: magic, version, kind, header length.
 _PRELUDE = struct.Struct(">4sHBI")
@@ -404,11 +405,8 @@ def plan_config_to_dict(cfg: Optional[PlanConfig]) -> Optional[Dict[str, Any]]:
     if cfg is None:
         return None
     return {
-        "force_dataflow": cfg.force_dataflow,
         "strategies": list(cfg.strategies) if cfg.strategies is not None else None,
         "selector": cfg.selector,
-        "rng_seed": cfg.rng_seed,
-        "exec_config": exec_config_to_dict(cfg.exec_config),
     }
 
 
@@ -416,11 +414,8 @@ def plan_config_from_dict(d: Optional[Dict[str, Any]]) -> Optional[PlanConfig]:
     if d is None:
         return None
     return PlanConfig(
-        force_dataflow=bool(d["force_dataflow"]),
         strategies=tuple(d["strategies"]) if d["strategies"] is not None else None,
         selector=d["selector"],
-        rng_seed=d["rng_seed"],
-        exec_config=exec_config_from_dict(d["exec_config"]),
     )
 
 

@@ -14,12 +14,12 @@ import pytest
 from repro.analysis.pipelines import pipeline_mismatches, run_pipeline
 from repro.core.dataflow import DataflowPartition, dataflow_partition, dataflow_schedule
 from repro.core.partition import three_set_partition
-from repro.core.partitioner import recurrence_chain_partition
 from repro.core.schedule import ArrayPhase, ParallelPhase, Schedule
+from repro.core.strategy import PlanConfig, plan
 from repro.dependence.analysis import DependenceAnalysis
 from repro.isl.relations import FiniteRelation
-from repro.runtime.executor import execute_schedule, execute_sequential, validate_schedule
-from repro.runtime.threaded import execute_schedule_threaded
+from repro.runtime.backends import execute
+from repro.runtime.executor import execute_sequential, validate_schedule
 from repro.workloads.examples import example2_loop, figure1_loop, figure2_loop
 from repro.workloads.synthetic import large_triangular_loop, large_uniform_loop
 from tuple_reference import ref_dataflow, ref_pipeline, ref_schedule
@@ -32,6 +32,8 @@ PROGRAMS = [
     large_triangular_loop(14),
 ]
 PROGRAM_IDS = [p.name for p in PROGRAMS]
+
+ALGORITHM1 = PlanConfig(strategies=("recurrence-chains", "dataflow"))
 
 
 class TestPipelineEquivalence:
@@ -78,7 +80,7 @@ class TestPipelineEquivalence:
     def test_threaded_execution_matches_sequential(self, prog):
         sched_a = run_pipeline(prog).schedule
         assert any(isinstance(p, ArrayPhase) for p in sched_a.phases)
-        run = execute_schedule_threaded(prog, sched_a, n_threads=3)
+        run = execute(prog, sched_a, backend="threaded", workers=3)
         reference = execute_sequential(prog, {})
         for name in reference:
             assert np.array_equal(reference[name], run.store[name])
@@ -136,7 +138,7 @@ class TestArrayBackedPartitionViews:
 class TestRecurrenceChainArrayPhases:
     def test_large_single_pair_program_gets_array_doall_phases(self):
         prog = large_uniform_loop(80, 80)
-        result = recurrence_chain_partition(prog)
+        result = plan(prog, config=ALGORITHM1, cache=False)
         assert result.scheme == "recurrence-chains"
         kinds = [type(p) for p in result.schedule.phases]
         assert ArrayPhase in kinds  # P1/P3 emitted as array views
@@ -150,7 +152,7 @@ class TestRecurrenceChainArrayPhases:
 
     def test_small_program_gets_array_phases(self):
         prog = figure1_loop(10, 10)
-        result = recurrence_chain_partition(prog)
+        result = plan(prog, config=ALGORITHM1, cache=False)
         kinds = [type(p) for p in result.schedule.phases]
         assert kinds == [ArrayPhase, ParallelPhase, ArrayPhase]
         report = validate_schedule(
@@ -218,7 +220,7 @@ class TestScheduleFromArrays:
         mixed = Schedule(
             "mixed", (arr_sched.phases[0],) + tup_sched.phases[1:], {}
         )
-        result = execute_schedule(prog, mixed, {})
+        result = execute(prog, mixed, {}).store
         reference = execute_sequential(prog, {})
         for name in reference:
             assert np.array_equal(reference[name], result[name])

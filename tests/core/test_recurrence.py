@@ -100,10 +100,11 @@ class TestTheorem1:
             rec.expansion_factor()
 
     def test_measured_chains_respect_bound(self):
-        from repro.core import recurrence_chain_partition
+        from repro.core import PlanConfig, plan
 
+        chains = PlanConfig(strategies=("recurrence-chains",))
         for n1, n2 in [(10, 10), (25, 35), (40, 60)]:
-            result = recurrence_chain_partition(figure1_loop(n1, n2))
+            result = plan(figure1_loop(n1, n2), config=chains, cache=False)
             bound = result.chain_length_bound()
             assert bound is not None
             assert result.longest_chain() <= bound

@@ -3,8 +3,8 @@
 Covers the acceptance contract of the facade:
 
 * every paper workload plans successfully through ``plan()`` with the
-  default config, and the chosen strategy matches the historical
-  hand-rolled dispatch (``recurrence_chain_partition``'s two branches);
+  default config, and the chosen strategy matches Algorithm 1 on its own
+  (``PlanConfig(strategies=("recurrence-chains", "dataflow"))``);
 * ``plan()`` output is bit-identical (phase names + instance sequences) to
   the pre-facade entry points, for Algorithm 1 and for all six baselines;
 * cached re-plans return the *identical* ``Plan`` object;
@@ -24,8 +24,7 @@ from repro.baselines import (
     tiling_schedule,
     unique_sets_schedule,
 )
-from repro.core import recurrence_chain_partition
-from repro.core.partitioner import PartitioningNotApplicable
+from repro.core.partitioner import PartitioningNotApplicable, dataflow_branch
 from repro.core.strategy import (
     PlanCache,
     PlanConfig,
@@ -43,7 +42,11 @@ from repro.workloads.examples import (
     figure2_loop,
 )
 
-#: Every paper workload (small sizes) with the strategy the old dispatch chose.
+#: Algorithm 1 on its own: recurrence chains when Lemma 1 applies, else
+#: dataflow peeling.
+ALGORITHM1 = PlanConfig(strategies=("recurrence-chains", "dataflow"))
+
+#: Every paper workload (small sizes) with the strategy Algorithm 1 chooses.
 WORKLOADS = [
     ("figure1", lambda: figure1_loop(10, 10), "recurrence-chains"),
     ("figure2", lambda: figure2_loop(20), "recurrence-chains"),
@@ -84,7 +87,7 @@ class TestFallbackChain:
         prog = factory()
         p = plan(prog, cache=False)
         assert p.strategy == expected
-        old = recurrence_chain_partition(factory())
+        old = plan(factory(), config=ALGORITHM1, cache=False)
         assert p.scheme == old.scheme
         assert schedule_mismatches(p.schedule, old.schedule) == []
         assert p.validate(seeds=(0,)).ok
@@ -117,7 +120,7 @@ class TestFallbackChain:
         for _, factory, expected in WORKLOADS:
             p = plan(factory(), config=PlanConfig(selector="fixed"), cache=False)
             assert p.strategy == expected
-            old = recurrence_chain_partition(factory())
+            old = plan(factory(), config=ALGORITHM1, cache=False)
             assert schedule_mismatches(p.schedule, old.schedule) == []
             assert p.selection is not None
             assert p.selection.selector == "fixed"
@@ -125,16 +128,12 @@ class TestFallbackChain:
             assert p.selection.order == strategy_names()
 
     def test_force_dataflow_skips_chains(self):
-        p = plan(
-            figure1_loop(10, 10),
-            config=PlanConfig(force_dataflow=True),
-            cache=False,
-        )
-        assert p.strategy == "dataflow"
-        assert dict(p.skipped)["recurrence-chains"] == (
-            "disabled by PlanConfig(force_dataflow=True)"
-        )
-        old = recurrence_chain_partition(figure1_loop(10, 10), force_dataflow=True)
+        """Pinning ``strategies=("dataflow",)`` never probes the chain
+        branch: the plan is Algorithm 1's dataflow branch on the same loop."""
+        prog = figure1_loop(10, 10)
+        p = plan(prog, config=PlanConfig(strategies=("dataflow",)), cache=False)
+        assert p.strategy == "dataflow" and p.skipped == ()
+        old = dataflow_branch(prog, {})
         assert schedule_mismatches(p.schedule, old.schedule) == []
 
     def test_no_applicable_strategy_raises_with_reasons(self):
@@ -176,6 +175,31 @@ class TestBaselineStrategies:
         assert schedule_mismatches(p.schedule, old) == []
         assert p.validate(seeds=(0,)).ok
 
+    @pytest.mark.parametrize(
+        "factory",
+        [lambda: figure1_loop(10, 10), lambda: example3_loop(6)],
+        ids=["perfect", "imperfect"],
+    )
+    def test_pdm_partition_built_once_per_plan(self, monkeypatch, factory):
+        """The pdm builder hands its coset partition to the schedule instead
+        of the schedule rebuilding it (an imperfect nest's statement-level
+        partition is built by the schedule alone); the schedule is the
+        standalone one."""
+        from repro.baselines import pdm
+
+        real = pdm.pdm_partition
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pdm, "pdm_partition", counting)
+        p = plan(factory(), config=PlanConfig(strategies=("pdm",)), cache=False)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert schedule_mismatches(p.schedule, pdm_schedule(factory(), {})) == []
+
     def test_pl_partition_reports_its_own_scheme(self):
         p = plan(
             figure1_loop(8, 8), config=PlanConfig(strategies=("pl",)), cache=False
@@ -216,6 +240,13 @@ class TestPlanConfig:
             cache=False,
         )
         assert p.strategy == "tiling"
+
+    def test_only_planning_knobs(self):
+        """Execution-only knobs are not PlanConfig fields, so they can never
+        split the plan cache."""
+        from dataclasses import fields
+
+        assert [f.name for f in fields(PlanConfig)] == ["engine", "strategies", "selector"]
 
     def test_configs_cache_separately(self):
         cache = PlanCache()
@@ -268,7 +299,7 @@ class TestPlanCacheMechanics:
         assert plan(build(sum_semantics), cache=cache) is summing_plan
         # and the cached plans execute their own program's semantics
         assert not np.array_equal(
-            default_plan.execute()["x"], summing_plan.execute()["x"]
+            default_plan.execute().store["x"], summing_plan.execute().store["x"]
         )
 
     def test_default_cache_is_shared(self):
@@ -330,14 +361,6 @@ class TestPlanExplain:
             l for l in untimed.explain().splitlines() if "selected" in l
         ][0]
         assert " in " not in selected
-
-    def test_force_dataflow_reason_appears_in_explain(self):
-        p = plan(
-            figure1_loop(8, 8),
-            config=PlanConfig(force_dataflow=True),
-            cache=False,
-        )
-        assert "disabled by PlanConfig(force_dataflow=True)" in p.explain()
 
 
 class TestPlanCacheLRUBoundaries:
@@ -401,16 +424,15 @@ class TestPlanObject:
         prog = figure1_loop(10, 10)
         p = plan(prog, cache=False)
         ref = execute_sequential(prog, {})
-        store = p.execute()
-        assert np.array_equal(ref["a"], store["a"])
-        run = p.execute(threads=3)
+        assert np.array_equal(ref["a"], p.execute().store["a"])
+        run = p.execute(backend="threaded", workers=3)
         assert np.array_equal(ref["a"], run.store["a"])
         assert run.instances_executed == p.schedule.total_work
 
     def test_summary_superset_of_old_summary(self):
         prog = figure1_loop(10, 10)
         p = plan(prog, cache=False)
-        old = recurrence_chain_partition(figure1_loop(10, 10)).summary()
+        old = plan(figure1_loop(10, 10), config=ALGORITHM1, cache=False).summary()
         new = p.summary()
         for key, value in old.items():
             assert new[key] == value

@@ -2,6 +2,7 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +17,7 @@ from repro.isl.relations import FiniteRelation
 from repro.ir.builder import aref, assign, loop, program
 from repro.workloads.examples import figure1_loop, figure2_loop
 from repro.workloads.synthetic import random_coupled_loop
+from tuple_reference import ref_is_uniform
 
 
 def uniform_2d(n=6):
@@ -118,6 +120,26 @@ class TestArrayUniformityCheck:
         assert self.both(outside_only, space) is False
         covered = FiniteRelation.from_pairs([((5, 5), (6, 6)), ((0, 0), (1, 1))])
         assert self.both(covered, space) is True
+
+    @pytest.mark.parametrize("drop", [0, 1], ids=["uniform", "non-uniform"])
+    def test_overflowing_box_agrees_with_reference(self, drop):
+        """Two 4x4 blocks, one near 2**40 in both axes: the box has ~2**80
+        cells, so rows are keyed by dense rank on the same path."""
+        import numpy as np
+
+        from repro.isl.relations import PointCodec
+
+        far = 2**40
+        space = [(i, j) for i in range(4) for j in range(4)]
+        space += [(far + i, far + j) for i, j in space]
+        with pytest.raises(ValueError, match="too large"):
+            PointCodec.for_arrays(np.asarray(space))
+        members = set(space)
+        pairs = [(p, (p[0] + 1, p[1] + 1)) for p in space if (p[0] + 1, p[1] + 1) in members]
+        rel = FiniteRelation.from_pairs(pairs[drop:])
+        expected = ref_is_uniform(rel, space)
+        assert expected is (drop == 0)
+        assert self.both(rel, space) is expected
 
     def test_hypothesis_style_random_agreement(self):
         import numpy as np

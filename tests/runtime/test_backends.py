@@ -11,19 +11,15 @@ import numpy as np
 import pytest
 
 import repro
-from repro.core import recurrence_chain_partition
-from repro.core.strategy import PlanConfig, plan
+from repro.core.strategy import PlanCache, PlanConfig, plan
 from repro.runtime import (
     BackendUnavailable,
     ExecConfig,
     ExecutionBackend,
     RunResult,
-    ThreadedRun,
     backend_names,
     backend_table,
     execute,
-    execute_schedule,
-    execute_schedule_threaded,
     execute_sequential,
     get_backend,
     make_store,
@@ -94,7 +90,7 @@ class TestRegistry:
         register_backend(probe)
         try:
             prog = figure1_loop(4, 4)
-            result = recurrence_chain_partition(prog)
+            result = plan(prog, cache=False)
             with pytest.raises(BackendUnavailable, match="not on this machine"):
                 execute(prog, result.schedule, {}, backend="always-broken")
         finally:
@@ -118,14 +114,6 @@ class TestExecConfig:
             ExecConfig(mp_context="greenlet")
         with pytest.raises(ValueError):
             ExecConfig(backend="")
-
-    def test_hashable_for_plan_config(self):
-        """ExecConfig rides inside PlanConfig, which keys the plan cache."""
-        a = PlanConfig(exec_config=ExecConfig(backend="process", workers=2))
-        b = PlanConfig(exec_config=ExecConfig(backend="process", workers=2))
-        assert a == b and hash(a) == hash(b)
-        with pytest.raises(TypeError):
-            PlanConfig(exec_config="process")
 
 
 class TestBackendEquivalence:
@@ -215,28 +203,6 @@ class TestSimulatedBackend:
         )
 
 
-class TestShims:
-    """The historical entry points keep working over the registry."""
-
-    def test_execute_schedule_shim_matches_serial_backend(self):
-        prog = figure1_loop(10, 12)
-        p = plan(prog, cache=False)
-        via_shim = execute_schedule(prog, p.schedule, {}, seed=5)
-        via_registry = execute(prog, p.schedule, {}, backend="serial", seed=5)
-        assert isinstance(via_shim, dict)
-        assert _stores_equal(via_shim, via_registry.store)
-
-    def test_execute_schedule_threaded_shim_returns_threadedrun(self):
-        prog = figure1_loop(10, 12)
-        p = plan(prog, cache=False)
-        run = execute_schedule_threaded(prog, p.schedule, {}, n_threads=3)
-        assert isinstance(run, ThreadedRun)
-        assert run.n_threads == 3
-        assert run.phases_executed == p.schedule.num_phases
-        assert run.instances_executed == p.schedule.total_work
-        assert _stores_equal(execute_sequential(prog, {}), run.store)
-
-
 class TestPlanExecuteWiring:
     def test_plan_execute_backend_kwarg(self):
         prog = figure1_loop(10, 10)
@@ -247,30 +213,26 @@ class TestPlanExecuteWiring:
             assert isinstance(result, RunResult)
             assert _stores_equal(ref, result.store), backend
 
-    def test_plan_config_exec_config_default(self):
-        """PlanConfig(exec_config=...) makes a bare execute() take the
-        registry path with those defaults."""
+    def test_plan_execute_always_returns_runresult(self):
+        """Execution knobs never reach the plan cache: one PlanConfig is one
+        cache entry, and every execute() call returns a RunResult."""
         prog = figure1_loop(10, 10)
-        p = plan(
-            prog,
-            config=PlanConfig(exec_config=ExecConfig(backend="threaded", workers=2)),
-            cache=False,
-        )
-        result = p.execute()
-        assert isinstance(result, RunResult)
-        assert result.backend == "threaded"
-        assert result.workers == 2
-        assert _stores_equal(execute_sequential(prog, {}), result.store)
-        # per-call override still wins
-        assert p.execute(backend="serial").backend == "serial"
-
-    def test_plan_execute_legacy_paths_unchanged(self):
-        prog = figure1_loop(10, 10)
-        p = plan(prog, cache=False)
-        store = p.execute()
-        assert isinstance(store, dict)
-        run = p.execute(threads=2)
-        assert isinstance(run, ThreadedRun)
+        ref = execute_sequential(prog, {})
+        cache = PlanCache()
+        config = PlanConfig()
+        for backend in ("serial", "threaded", "simulated"):
+            p = plan(prog, config=config, cache=cache)
+            result = p.execute(backend=backend, workers=2)
+            assert isinstance(result, RunResult)
+            assert result.backend == backend
+            if backend != "simulated":
+                assert _stores_equal(ref, result.store), backend
+        assert cache.stats() == {"size": 1, "hits": 2, "misses": 1}
+        bare = p.execute()
+        assert isinstance(bare, RunResult) and bare.backend == "serial"
+        via_config = p.execute(config=ExecConfig(backend="threaded", workers=2))
+        assert via_config.backend == "threaded" and via_config.workers == 2
+        assert _stores_equal(ref, via_config.store)
 
     def test_process_backend_rejects_locking(self):
         prog = figure1_loop(6, 6)

@@ -3,14 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.core import ExecutionUnit, ParallelPhase, Schedule, recurrence_chain_partition
+from repro.core import ExecutionUnit, ParallelPhase, PlanConfig, Schedule, plan
+from repro.runtime.backends import execute
 from repro.runtime.executor import (
-    execute_schedule,
     execute_sequential,
     make_store,
     validate_schedule,
 )
 from repro.workloads.examples import example3_loop, figure1_loop, figure2_loop
+
+ALGORITHM1 = PlanConfig(strategies=("recurrence-chains", "dataflow"))
 
 
 class TestStore:
@@ -75,26 +77,26 @@ class TestSequentialExecution:
 class TestScheduleExecution:
     def test_valid_schedule_matches_sequential(self):
         prog = figure1_loop(10, 12)
-        result = recurrence_chain_partition(prog)
+        result = plan(prog, config=ALGORITHM1, cache=False)
         ref = execute_sequential(prog, {})
         for seed in (0, 1, 2, 99):
-            out = execute_schedule(prog, result.schedule, {}, seed=seed)
+            out = execute(prog, result.schedule, {}, seed=seed).store
             assert np.array_equal(ref["a"], out["a"])
 
     def test_wrong_order_schedule_detected(self):
         """Executing the phases in reverse order must change the result."""
         prog = figure1_loop(10, 12)
-        result = recurrence_chain_partition(prog)
+        result = plan(prog, config=ALGORITHM1, cache=False)
         reversed_schedule = Schedule.from_phases(
             "reversed", list(reversed(result.schedule.phases))
         )
         ref = execute_sequential(prog, {})
-        out = execute_schedule(prog, reversed_schedule, {}, seed=0)
+        out = execute(prog, reversed_schedule, {}, seed=0).store
         assert not np.array_equal(ref["a"], out["a"])
 
     def test_missing_instances_detected_by_validator(self):
         prog = figure2_loop(20)
-        result = recurrence_chain_partition(prog)
+        result = plan(prog, config=ALGORITHM1, cache=False)
         truncated = Schedule.from_phases("truncated", result.schedule.phases[:1])
         report = validate_schedule(prog, truncated, {})
         assert not report.covers_all_instances
@@ -102,7 +104,7 @@ class TestScheduleExecution:
 
     def test_validator_passes_correct_schedule(self):
         prog = figure2_loop(20)
-        result = recurrence_chain_partition(prog)
+        result = plan(prog, config=ALGORITHM1, cache=False)
         report = validate_schedule(
             prog, result.schedule, {}, dependences=result.analysis.iteration_dependences
         )
@@ -114,7 +116,7 @@ class TestScheduleExecution:
         """A schedule that runs everything in one fully parallel phase violates
         the dependences and (with enough seeds) the semantics check."""
         prog = figure1_loop(10, 12)
-        analysis_result = recurrence_chain_partition(prog)
+        analysis_result = plan(prog, config=ALGORITHM1, cache=False)
         flat = Schedule.from_phases(
             "flat",
             [
@@ -161,7 +163,7 @@ class TestScheduleExecution:
         """End to end: with zero semantic shuffle seeds (arrays vacuously
         match), a dependence-violating schedule still fails validation."""
         prog = figure1_loop(8, 8)
-        analysis_result = recurrence_chain_partition(prog)
+        analysis_result = plan(prog, config=ALGORITHM1, cache=False)
         flat = Schedule.from_phases(
             "flat",
             [
@@ -190,9 +192,9 @@ class TestShuffleRng:
         import random
 
         prog = figure1_loop(8, 8)
-        result = recurrence_chain_partition(prog)
-        a = execute_schedule(prog, result.schedule, {}, rng=random.Random(42))
-        b = execute_schedule(prog, result.schedule, {}, rng=random.Random(42))
+        result = plan(prog, config=ALGORITHM1, cache=False)
+        a = execute(prog, result.schedule, {}, rng=random.Random(42)).store
+        b = execute(prog, result.schedule, {}, rng=random.Random(42)).store
         for name in a:
             assert np.array_equal(a[name], b[name])
 
@@ -200,20 +202,20 @@ class TestShuffleRng:
         import random
 
         prog = figure1_loop(8, 8)
-        result = recurrence_chain_partition(prog)
+        result = plan(prog, config=ALGORITHM1, cache=False)
         random.seed(1234)
         before = random.getstate()
-        execute_schedule(prog, result.schedule, {}, seed=7)
-        execute_schedule(prog, result.schedule, {}, rng=random.Random(3))
+        execute(prog, result.schedule, {}, seed=7)
+        execute(prog, result.schedule, {}, rng=random.Random(3))
         assert random.getstate() == before
 
     def test_seed_and_rng_agree_with_sequential_semantics(self):
         import random
 
         prog = figure2_loop(16)
-        result = recurrence_chain_partition(prog)
+        result = plan(prog, config=ALGORITHM1, cache=False)
         reference = execute_sequential(prog, {})
         for kwargs in ({"seed": 5}, {"rng": random.Random(5)}, {"seed": None}):
-            out = execute_schedule(prog, result.schedule, {}, **kwargs)
+            out = execute(prog, result.schedule, {}, **kwargs).store
             for name in reference:
                 assert np.array_equal(reference[name], out[name])

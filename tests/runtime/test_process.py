@@ -109,7 +109,8 @@ class TestProcessPool:
             p = plan(prog, config=config, cache=False)
             ref = execute_sequential(prog, {})
             store = make_store(prog)
-            with ProcessPool(prog, store, workers=WORKERS) as pool:
+            with ProcessPool(prog, workers=WORKERS) as pool:
+                pool.attach_store(store)
                 for phase in p.schedule.phases:
                     executed, tasks = pool.run_phase(phase)
                     assert executed == phase.work
@@ -121,7 +122,7 @@ class TestProcessPool:
     def test_worker_count_validation(self):
         prog = figure1_loop(4, 4)
         with pytest.raises(ValueError):
-            ProcessPool(prog, make_store(prog), workers=0)
+            ProcessPool(prog, workers=0)
 
     def test_single_worker_pool(self):
         prog = figure1_loop(6, 6)
@@ -139,14 +140,15 @@ class TestProcessPool:
             object.__setattr__(stmt, "semantics", _exploding_semantics)
         p = plan(prog, cache=False)
         store = make_store(prog)
-        with ProcessPool(prog, store, workers=WORKERS) as pool:
+        with ProcessPool(prog, workers=WORKERS) as pool:
+            pool.attach_store(store)
             with pytest.raises(RuntimeError, match="boom-semantics"):
                 for phase in p.schedule.phases:
                     pool.run_phase(phase)
 
     def test_start_method_reported(self):
         prog = figure1_loop(4, 4)
-        with ProcessPool(prog, make_store(prog), workers=1) as pool:
+        with ProcessPool(prog, workers=1) as pool:
             assert pool.start_method == default_mp_context().get_start_method()
         result = execute(prog, plan(prog, cache=False).schedule, {},
                          backend="process", workers=1)

@@ -1,58 +1,60 @@
-"""Tests for repro.runtime.threaded: real thread-pool execution."""
+"""Tests for the ``threaded`` backend: real thread-pool execution."""
 
 import numpy as np
 import pytest
 
-from repro.core import recurrence_chain_partition
+from repro.core import PlanConfig, plan
+from repro.runtime.backends import execute
 from repro.runtime.executor import execute_sequential
-from repro.runtime.threaded import execute_schedule_threaded
 from repro.workloads.examples import example2_loop, figure1_loop, figure2_loop
+
+ALGORITHM1 = PlanConfig(strategies=("recurrence-chains", "dataflow"))
 
 
 class TestThreadedExecution:
     @pytest.mark.parametrize("n_threads", [1, 2, 4])
     def test_matches_sequential(self, n_threads):
         prog = figure1_loop(10, 12)
-        result = recurrence_chain_partition(prog)
+        result = plan(prog, config=ALGORITHM1, cache=False)
         ref = execute_sequential(prog, {})
-        run = execute_schedule_threaded(prog, result.schedule, {}, n_threads=n_threads)
+        run = execute(prog, result.schedule, {}, backend="threaded", workers=n_threads)
         assert np.array_equal(ref["a"], run.store["a"])
-        assert run.n_threads == n_threads
+        assert run.workers == n_threads
         assert run.instances_executed == result.schedule.total_work
         assert run.phases_executed == result.schedule.num_phases
 
     def test_other_examples(self):
         for prog in (figure2_loop(20), example2_loop(12)):
-            result = recurrence_chain_partition(prog)
+            result = plan(prog, config=ALGORITHM1, cache=False)
             ref = execute_sequential(prog, {})
-            run = execute_schedule_threaded(prog, result.schedule, {}, n_threads=3)
+            run = execute(prog, result.schedule, {}, backend="threaded", workers=3)
             for name in ref:
                 assert np.array_equal(ref[name], run.store[name]), prog.name
 
     def test_invalid_thread_count(self):
         prog = figure2_loop(10)
-        result = recurrence_chain_partition(prog)
+        result = plan(prog, config=ALGORITHM1, cache=False)
         with pytest.raises(ValueError):
-            execute_schedule_threaded(prog, result.schedule, {}, n_threads=0)
+            execute(prog, result.schedule, {}, backend="threaded", workers=0)
 
     def test_shuffled_distribution_matches_sequential(self):
-        """seed/rng (aligned with execute_schedule's signature) shuffle the
-        worker distribution without changing the result."""
+        """seed/rng shuffle the worker distribution without changing the
+        result."""
         import random
 
         prog = figure1_loop(10, 12)
-        result = recurrence_chain_partition(prog)
+        result = plan(prog, config=ALGORITHM1, cache=False)
         ref = execute_sequential(prog, {})
         for kwargs in ({"seed": 7}, {"rng": random.Random(123)}):
-            run = execute_schedule_threaded(
-                prog, result.schedule, {}, n_threads=3, **kwargs
+            run = execute(
+                prog, result.schedule, {}, backend="threaded", workers=3, **kwargs
             )
             assert np.array_equal(ref["a"], run.store["a"]), kwargs
             assert run.instances_executed == result.schedule.total_work
 
     def test_shuffled_array_phase_matches_sequential(self):
         """ArrayPhase row permutation under seed keeps results exact."""
-        from repro.core import ArrayPhase, PlanConfig, plan
+        from repro.core import ArrayPhase
         from repro.workloads.synthetic import large_uniform_loop
 
         prog = large_uniform_loop(12, 9)
@@ -63,17 +65,18 @@ class TestThreadedExecution:
         )
         assert any(isinstance(ph, ArrayPhase) for ph in p.schedule.phases)
         ref = execute_sequential(prog, {})
-        run = execute_schedule_threaded(prog, p.schedule, {}, n_threads=4, seed=1)
+        run = execute(prog, p.schedule, {}, backend="threaded", workers=4, seed=1)
         assert np.array_equal(ref["x"], run.store["x"])
 
     @pytest.mark.parametrize("n_threads", [1, 4])
     def test_locked_execution_matches_sequential(self, n_threads):
         """lock_free=False serializes per-array but must not change results."""
         prog = figure1_loop(10, 12)
-        result = recurrence_chain_partition(prog)
+        result = plan(prog, config=ALGORITHM1, cache=False)
         ref = execute_sequential(prog, {})
-        run = execute_schedule_threaded(
-            prog, result.schedule, {}, n_threads=n_threads, lock_free=False
+        run = execute(
+            prog, result.schedule, {}, backend="threaded", workers=n_threads,
+            lock_free=False,
         )
         assert np.array_equal(ref["a"], run.store["a"])
         assert run.instances_executed == result.schedule.total_work
@@ -86,7 +89,7 @@ class TestLockedPhaseKinds:
     def test_locked_array_phase_matches_sequential(self):
         """ArrayPhase wavefronts under per-array locks still produce the
         sequential result."""
-        from repro.core import ArrayPhase, PlanConfig, plan
+        from repro.core import ArrayPhase
 
         from repro.workloads.synthetic import large_uniform_loop
 
@@ -98,8 +101,8 @@ class TestLockedPhaseKinds:
         )
         assert all(isinstance(ph, ArrayPhase) for ph in p.schedule.phases)
         ref = execute_sequential(prog, {})
-        run = execute_schedule_threaded(
-            prog, p.schedule, {}, n_threads=3, lock_free=False, seed=2
+        run = execute(
+            prog, p.schedule, {}, backend="threaded", workers=3, lock_free=False, seed=2
         )
         assert np.array_equal(ref["x"], run.store["x"])
         assert run.instances_executed == p.schedule.total_work
@@ -108,7 +111,7 @@ class TestLockedPhaseKinds:
         """Statement-level UnifiedArrayPhase wavefronts (multiple arrays per
         statement, sorted-lock acquisition) under per-array locks still
         produce the sequential result."""
-        from repro.core import PlanConfig, UnifiedArrayPhase, plan
+        from repro.core import UnifiedArrayPhase
 
         from repro.workloads.synthetic import large_cholesky_nest
 
@@ -120,8 +123,8 @@ class TestLockedPhaseKinds:
         )
         assert all(isinstance(ph, UnifiedArrayPhase) for ph in p.schedule.phases)
         ref = execute_sequential(prog, {})
-        run = execute_schedule_threaded(
-            prog, p.schedule, {}, n_threads=3, lock_free=False, seed=2
+        run = execute(
+            prog, p.schedule, {}, backend="threaded", workers=3, lock_free=False, seed=2
         )
         for name in ref:
             assert np.array_equal(ref[name], run.store[name])
@@ -137,8 +140,8 @@ class TestLockedPhaseKinds:
         prog = example3_loop(10)
         schedule = ref_dataflow_branch(prog, {})  # tuple block-unit phases
         ref = execute_sequential(prog, {})
-        run = execute_schedule_threaded(
-            prog, schedule, {}, n_threads=4, lock_free=False, seed=5
+        run = execute(
+            prog, schedule, {}, backend="threaded", workers=4, lock_free=False, seed=5
         )
         for name in ref:
             assert np.array_equal(ref[name], run.store[name])
@@ -146,7 +149,6 @@ class TestLockedPhaseKinds:
     def test_runner_holds_sorted_locks_around_each_instance(self):
         """Every instance takes the locks of all arrays its statement
         touches, in sorted name order, and releases them in reverse."""
-        from repro.core import PlanConfig, plan
         from repro.runtime.executor import InstanceRunner, lower_phase, make_store
         from repro.workloads.synthetic import large_cholesky_nest
 

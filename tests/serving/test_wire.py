@@ -61,6 +61,18 @@ class TestFraming:
         with pytest.raises(ProtocolVersionMismatch):
             wire.read_frame(io.BytesIO(bytes(raw)))
 
+    def test_v2_frame_raises_mismatch(self):
+        """A v2 peer's request is refused on the prelude, before its header
+        (whose PlanConfig had more keys) is parsed."""
+        header, bodies = wire.request_frame(PlanRequest(program=figure1_loop(4, 4)))
+        buf = io.BytesIO()
+        wire.write_frame(buf, FrameKind.REQUEST, header, bodies)
+        raw = bytearray(buf.getvalue())
+        struct.pack_into(">H", raw, 4, 2)
+        with pytest.raises(ProtocolVersionMismatch) as info:
+            wire.read_frame(io.BytesIO(bytes(raw)))
+        assert (info.value.theirs, info.value.ours) == (2, 3)
+
     def test_unknown_kind_rejected(self):
         buf = io.BytesIO()
         wire.write_frame(buf, FrameKind.REQUEST, {"arrays": []})
@@ -210,17 +222,18 @@ class TestConfigMarshalling:
         [
             None,
             PlanConfig(),
-            PlanConfig(
-                strategies=("dataflow",),
-                selector="fixed",
-                rng_seed=None,
-                exec_config=ExecConfig(backend="threaded", workers=3, seed=7),
-            ),
+            PlanConfig(strategies=("dataflow",), selector="fixed"),
+            PlanConfig(strategies=("recurrence-chains", "dataflow")),
         ],
-        ids=["none", "defaults", "pinned"],
+        ids=["none", "defaults", "pinned", "algorithm1"],
     )
     def test_plan_config_roundtrip(self, cfg):
         assert wire.plan_config_from_dict(wire.plan_config_to_dict(cfg)) == cfg
+
+    def test_plan_config_carries_planning_knobs_only(self):
+        """Protocol v3: the PlanConfig header has no execution-only keys."""
+        assert wire.PROTOCOL_VERSION == 3
+        assert set(wire.plan_config_to_dict(PlanConfig())) == {"strategies", "selector"}
 
     @pytest.mark.parametrize(
         "cfg",

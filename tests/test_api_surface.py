@@ -1,10 +1,9 @@
 """API-surface guard: every module imports and every ``__all__`` name exists.
 
-With the planning facade in place the historical entry points live on as
-shims, and the top-level package re-exports the facade — this test walks
-every ``repro`` module and verifies that (a) it imports cleanly and (b)
-every name it advertises in ``__all__`` actually resolves, so a refactor
-can never silently break an advertised import.
+The top-level package re-exports the planning and execution facades; this
+test walks every ``repro`` module and verifies that (a) it imports cleanly
+and (b) every name it advertises in ``__all__`` actually resolves, so a
+refactor can never silently break an advertised import.
 """
 
 import importlib
