@@ -22,8 +22,11 @@ paper's Example 4 comparison, where PDM parallelizes the outermost ``L`` /
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import ClassVar, Iterable, List, Mapping, Optional, Tuple, Union
 
+import numpy as np
+
+from ..core.partition import as_point_array
 from ..core.schedule import ExecutionUnit, Instance, ParallelPhase, Schedule
 from ..dependence.analysis import DependenceAnalysis
 from ..ir.program import LoopProgram
@@ -63,12 +66,15 @@ class PDMPartition:
         return self.lattice.covers(distances)
 
 
-def pdm_partition(space: Sequence[Point], rd: FiniteRelation) -> PDMPartition:
-    """Build the PDM and the coset partition for a concrete iteration space."""
-    if space:
-        dim = len(space[0])
-    else:
-        dim = rd.dim_in
+def pdm_partition(
+    space: Union[np.ndarray, Iterable[Point]], rd: FiniteRelation
+) -> PDMPartition:
+    """Build the PDM and the coset partition for a concrete iteration space.
+
+    ``space`` may be an ``(n, dim)`` int array or an iterable of point tuples.
+    """
+    space = as_point_array(space, rd.dim_in)
+    dim = space.shape[1]
     distances = sorted(rd.distances())
     pdm = pseudo_distance_matrix(distances, dim)
     lattice = DistanceLattice.from_vectors(pdm, dim)
@@ -100,10 +106,10 @@ def pdm_schedule(
 
     if perfect:
         labels = [s.label for s in program.statements()]
-        space = analysis.iteration_space_points
-        rd = analysis.iteration_dependences
         if partition is None:
-            partition = pdm_partition(space, rd)
+            partition = pdm_partition(
+                analysis.iteration_space_array, analysis.iteration_dependences
+            )
         units = []
         for key in sorted(partition.cosets):
             members = partition.cosets[key]

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import ClassVar, List, Mapping, Optional, Tuple
 
+from ..core.partition import as_point_array
 from ..core.schedule import ExecutionUnit, Instance, ParallelPhase, Schedule
 from ..dependence.analysis import DependenceAnalysis
 from ..ir.program import LoopProgram
@@ -46,8 +47,12 @@ class PLPartition(PDMPartition):
 
 
 def pl_partition(space, rd: FiniteRelation) -> PLPartition:
-    """Coset partition under the primitive direction-vector lattice."""
-    dim = len(space[0]) if space else rd.dim_in
+    """Coset partition under the primitive direction-vector lattice.
+
+    ``space`` may be an ``(n, dim)`` int array or an iterable of point tuples.
+    """
+    space = as_point_array(space, rd.dim_in)
+    dim = space.shape[1]
     basis = direction_basis(sorted(rd.distances()), dim)
     lattice = DistanceLattice.from_vectors(basis, dim)
     cosets = lattice.cosets(space)

@@ -123,6 +123,10 @@ class ThreeSetPartition:
         """P3 as lexicographically sorted ``(n, dim)`` rows (DOALL emission order)."""
         return self._rows["p3"]
 
+    def w_array(self) -> np.ndarray:
+        """W (the chain heads) as lexicographically sorted ``(n, dim)`` rows."""
+        return self._rows["w"]
+
     def space_array(self) -> np.ndarray:
         """Φ as lexicographically sorted ``(n, dim)`` rows, so geometric
         queries (e.g. the Theorem 1 diameter) never box the space into tuples."""

@@ -325,7 +325,7 @@ def _pdm_builder(ctx: PlanningContext) -> StrategyBuild:
     partition = None
     if ctx.is_perfect_nest:
         partition = pdm_partition(
-            ctx.analysis.iteration_space_points, ctx.analysis.iteration_dependences
+            ctx.analysis.iteration_space_array, ctx.analysis.iteration_dependences
         )
     schedule = pdm_schedule(ctx.program, ctx.params, ctx.analysis, partition=partition)
     return StrategyBuild(schedule=schedule, partition=partition)

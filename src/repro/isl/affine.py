@@ -203,7 +203,9 @@ class AffineKernel:
     points as one matrix product; it proves per block that no value can
     overflow int64 and declines (returns ``None``) when the proof fails or a
     value is not an integer, so callers fall back to exact
-    :meth:`AffineExpr.evaluate` for that block.
+    :meth:`AffineExpr.evaluate` for that block.  :meth:`numerators` is the
+    same product before the division, for callers that treat a non-integral
+    value as an answer rather than a reason to decline.
     """
 
     numer: np.ndarray
@@ -221,37 +223,58 @@ class AffineKernel:
         pos = {name: k for k, name in enumerate(variables)}
         if any(n not in pos for e in exprs for n, _ in e.coeffs):
             return None
-        denom = lcm(1, *(c.denominator for e in exprs for _, c in e.coeffs),
-                    *(e.constant.denominator for e in exprs))
-        numer = [[0] * len(exprs) for _ in variables]
+        matrix = [[Fraction(0)] * len(exprs) for _ in variables]
         for col, e in enumerate(exprs):
             for n, c in e.coeffs:
-                numer[pos[n]][col] = int(c * denom)
-        offset = [int(e.constant * denom) for e in exprs]
+                matrix[pos[n]][col] = c
+        return AffineKernel.from_matrix(matrix, [e.constant for e in exprs])
+
+    @staticmethod
+    def from_matrix(
+        matrix: Sequence[Sequence[Coeff]], offset: Sequence[Coeff]
+    ) -> Optional["AffineKernel"]:
+        """The kernel of the row-vector map ``x -> x·matrix + offset``.
+
+        ``matrix`` has one row per input coordinate and one column per
+        output; entries may be rational.  ``None`` when a scaled entry
+        reaches 2**62.
+        """
+        matrix = [[_frac(x) for x in row] for row in matrix]
+        offset = [_frac(x) for x in offset]
+        denom = lcm(1, *(x.denominator for row in matrix for x in row),
+                    *(x.denominator for x in offset))
+        numer = [[int(x * denom) for x in row] for row in matrix]
+        scaled = [int(x * denom) for x in offset]
         col_bound = max(
-            (sum(abs(row[c]) for row in numer) for c in range(len(exprs))), default=0
+            (sum(abs(row[c]) for row in numer) for c in range(len(offset))), default=0
         )
-        offset_bound = max(map(abs, offset), default=0)
+        offset_bound = max(map(abs, scaled), default=0)
         if max(col_bound, offset_bound) >= _KERNEL_BOUND:
             return None
-        numer_arr = np.array(numer, dtype=np.int64).reshape(len(variables), len(exprs))
-        offset_arr = np.array(offset, dtype=np.int64)
+        numer_arr = np.array(numer, dtype=np.int64).reshape(len(numer), len(offset))
+        offset_arr = np.array(scaled, dtype=np.int64)
         numer_arr.flags.writeable = offset_arr.flags.writeable = False
         return AffineKernel(numer_arr, offset_arr, denom, col_bound, offset_bound)
 
-    def apply(self, points: np.ndarray) -> Optional[np.ndarray]:
-        """The ``(n, len(exprs))`` int64 values at the rows of ``points``, or
-        ``None`` when ``max|row| · col_bound + offset_bound`` reaches 2**62
-        or some value is not an integer."""
+    def numerators(self, points: np.ndarray) -> Optional[np.ndarray]:
+        """``points·numer + offset`` as ``(n, len(exprs))`` int64 (the values
+        times ``denom``), or ``None`` when ``max|row| · col_bound +
+        offset_bound`` reaches 2**62."""
         reach = max(int(points.max()), -int(points.min())) if points.size else 0
         if reach * self.col_bound + self.offset_bound >= _KERNEL_BOUND:
             return None
-        values = points @ self.numer + self.offset
-        if self.denom != 1:
-            if (values % self.denom).any():
-                return None
-            values //= self.denom
-        return values
+        return points @ self.numer + self.offset
+
+    def apply(self, points: np.ndarray) -> Optional[np.ndarray]:
+        """The ``(n, len(exprs))`` int64 values at the rows of ``points``, or
+        ``None`` when :meth:`numerators` declines or some value is not an
+        integer."""
+        values = self.numerators(points)
+        if values is None or self.denom == 1:
+            return values
+        if (values % self.denom).any():
+            return None
+        return values // self.denom
 
 
 def var(name: str) -> AffineExpr:

@@ -13,6 +13,7 @@ Covers the acceptance contract of the facade:
   :class:`PartitioningNotApplicable` with every reason when nothing applies.
 """
 
+import numpy as np
 import pytest
 
 from repro.baselines import (
@@ -199,6 +200,23 @@ class TestBaselineStrategies:
         assert len(calls) == 1
         monkeypatch.undo()
         assert schedule_mismatches(p.schedule, pdm_schedule(factory(), {})) == []
+
+    def test_pdm_plan_passes_the_space_array(self, monkeypatch):
+        """The perfect-nest pdm path keys the ``(n, dim)`` space array and
+        never boxes the iteration space into a list of tuples."""
+        from repro.baselines import pdm
+
+        real = pdm.pdm_partition
+        spaces = []
+
+        def recording(space, rd):
+            spaces.append(space)
+            return real(space, rd)
+
+        monkeypatch.setattr(pdm, "pdm_partition", recording)
+        p = plan(figure1_loop(10, 10), config=PlanConfig(strategies=("pdm",)), cache=False)
+        assert len(spaces) == 1 and isinstance(spaces[0], np.ndarray)
+        assert "iteration_space_points" not in vars(p.analysis)
 
     def test_pl_partition_reports_its_own_scheme(self):
         p = plan(

@@ -9,6 +9,11 @@ array code against something that shares none of its machinery:
 * :func:`ref_dataflow` — Algorithm 1's dataflow while-loop, executed
   literally (rebuild ``ran Rd``, peel, restrict);
 * :func:`ref_chains` — the P2 chain walk over dict successor maps;
+* :func:`ref_chains_from_recurrence` — Algorithm 1's WHILE loop, one
+  ``Fraction`` step per point, with the per-point chain checks
+  :func:`ref_verify_disjoint_chains` / :func:`ref_chains_respect_relation`;
+* :func:`ref_coset_key` / :func:`ref_cosets` — lattice cosets with the
+  Hermite form recomputed for every point;
 * :func:`ref_rd` / :func:`ref_is_uniform` — the combined iteration-level Rd
   from the hash join plus a frozenset fold, and the per-point uniformity
   definition;
@@ -31,6 +36,7 @@ from repro.core.statement import StatementLevelSpace, UnifiedIndexMap
 from repro.dependence.analysis import DependenceAnalysis
 from repro.dependence.exact import exact_pair_dependences
 from repro.isl.lexorder import lex_lt
+from repro.isl.linalg import hermite_normal_form
 from repro.isl.relations import FiniteRelation
 
 Point = Tuple[int, ...]
@@ -115,6 +121,100 @@ def ref_chains(p2: Iterable[Point], rd: FiniteRelation) -> List[Tuple[Point, ...
     for p in sorted(p2 - covered):
         walk(p, skip_covered=True)
     return chains
+
+
+def ref_chains_from_recurrence(w: Iterable[Point], p2: Iterable[Point], recurrence) -> List[Tuple[Point, ...]]:
+    """Algorithm 1's WHILE loop run from each W start, one point at a time.
+
+    Each step tries ``i·T + u`` and the inverse map with exact ``Fraction``
+    arithmetic and keeps the integral image that lies in P2 and is
+    lexicographically later; two distinct such images raise ``ValueError``.
+    """
+    p2 = set(p2)
+    inverse = recurrence.inverse()
+
+    def forward_step(point: Point) -> Optional[Point]:
+        candidates = set()
+        for direction in (recurrence, inverse):
+            nxt = direction.next_integer(point)
+            if nxt is not None and tuple(nxt) in p2 and lex_lt(point, tuple(nxt)):
+                candidates.add(tuple(nxt))
+        if len(candidates) > 1:
+            raise ValueError(
+                f"iteration {point} has {len(candidates)} forward successors in P2; "
+                f"the single-coupled-pair precondition of Lemma 1 does not hold"
+            )
+        return candidates.pop() if candidates else None
+
+    chains: List[Tuple[Point, ...]] = []
+    for start in sorted(w):
+        chain = [start]
+        while True:
+            nxt = forward_step(chain[-1])
+            if nxt is None or nxt in chain:
+                break
+            chain.append(nxt)
+        chains.append(tuple(chain))
+    return chains
+
+
+def ref_verify_disjoint_chains(chains: Iterable[Sequence[Point]], p2: Iterable[Point]) -> bool:
+    """Chains pairwise disjoint and exactly covering P2, on a Python set."""
+    seen = set()
+    for chain in chains:
+        for p in chain:
+            if p in seen:
+                return False
+            seen.add(p)
+    return seen == set(tuple(p) for p in p2)
+
+
+def ref_chains_respect_relation(
+    chains: Iterable[Sequence[Point]], p2: Iterable[Point], rd: FiniteRelation
+) -> bool:
+    """Every P2-internal edge joins two points of one chain, source first."""
+    position: Dict[Point, Tuple[int, int]] = {}
+    for ci, chain in enumerate(chains):
+        for pos, p in enumerate(chain):
+            if p in position:
+                return False
+            position[p] = (ci, pos)
+    p2 = set(p2)
+    if not p2 or not rd.pairs:
+        return True
+    for a, b in rd.pairs:
+        if a == b or a not in p2 or b not in p2:
+            continue
+        pa, pb = position.get(a), position.get(b)
+        if pa is None or pb is None or pa[0] != pb[0] or pa[1] >= pb[1]:
+            return False
+    return True
+
+
+def ref_coset_key(generators: Sequence[Point], point: Sequence[int]) -> Point:
+    """The point reduced modulo the generators' Hermite form, recomputing the
+    HNF for this one point (Python integers, floor division)."""
+    residue = [int(x) for x in point]
+    if not generators:
+        return tuple(residue)
+    H, _U = hermite_normal_form([list(g) for g in generators])
+    for row in H:
+        pivot_col = next((c for c, x in enumerate(row) if x != 0), None)
+        if pivot_col is None:
+            continue
+        q = residue[pivot_col] // row[pivot_col]
+        residue = [r - q * h for r, h in zip(residue, row)]
+    return tuple(residue)
+
+
+def ref_cosets(generators: Sequence[Point], points: Iterable[Point]) -> Dict[Point, List[Point]]:
+    """Points grouped by :func:`ref_coset_key`, each group sorted."""
+    groups: Dict[Point, List[Point]] = {}
+    for p in points:
+        groups.setdefault(ref_coset_key(generators, p), []).append(tuple(p))
+    for members in groups.values():
+        members.sort()
+    return groups
 
 
 def _hash_joined_pairs(prog, params: Mapping[str, int]):
