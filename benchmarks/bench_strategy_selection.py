@@ -69,11 +69,12 @@ PROCESSORS = 4
 #: Per-scheme cost models, mirroring repro.analysis.experiments: both
 #: Algorithm 1 branches (chains and dataflow) get the simplified-subscript
 #: factor, DOACROSS pays its synchronization overheads.  The ``symbolic``
-#: strategy executes through the compiled NumPy kernel (no per-instance
-#: interpreter dispatch, phase loops as strided-slice assignments), so its
-#: per-instance factor is an order of magnitude below the interpreted
-#: schemes and its per-unit dispatch cost is zero — conservative against the
-#: ≥100× kernel-vs-serial wall-clock measured in benchmarks/bench_symbolic.py.
+#: strategy's factors (an order of magnitude below the others per instance,
+#: no per-unit dispatch) were calibrated against a generated NumPy kernel
+#: that has since been replaced by the executor's lockstep vector steps,
+#: which now serve every strategy's race-free phases; they are kept so the
+#: calibrated table re-derives unchanged until the selector's cost model is
+#: re-measured.
 SYMBOLIC_COST_MODEL = CostModel(instance_cost_factor=0.1, unit_overhead=0.0)
 
 COST_MODELS = {

@@ -1,7 +1,7 @@
-"""E-symbolic — the symbolic O(1)-in-N planning + compiled-kernel contracts.
+"""E-symbolic — the symbolic O(1)-in-N planning + vector-execution contracts.
 
 Not a paper artifact: this benchmark guards the two performance contracts of
-the ``symbolic`` strategy and its ``compiled`` execution backend.
+the ``symbolic`` strategy and the executor that runs its plans.
 
 * ``test_symbolic_plan_is_o1_in_n`` — planning a symbolic-eligible workload
   at **10⁸ iteration points** returns in **< 100 ms** without enumerating the
@@ -12,10 +12,12 @@ the ``symbolic`` strategy and its ``compiled`` execution backend.
   pipeline is proportional to N.  Asserted structurally too: the shared
   ``DependenceAnalysis`` must not have materialised its point or pair arrays.
 
-* ``test_compiled_backend_speedup`` — on a 10⁶-point workload the generated
-  NumPy kernel (``compiled`` backend) beats the interpreting ``serial``
-  backend by **≥ 10×** wall-clock with a **bit-identical** final store, and a
-  second execution of the same plan hits the fingerprint-keyed kernel cache.
+* ``test_compiled_backend_speedup`` — on a 10⁶-point workload the default
+  ``serial`` backend, which runs the race-free symbolic phases as lockstep
+  vector steps, beats the per-instance path on the same plan by **≥ 10×**
+  wall-clock with a **bit-identical** final store.  The per-instance path is
+  the same program with a plain Python wrapper around
+  ``order_sensitive_semantics``, which the executor cannot vectorise.
 
 Rows are appended to ``BENCH_scale.json`` via the run_id-keyed trajectory
 recorder shared with ``bench_scale_partition.py``.
@@ -26,15 +28,23 @@ import time
 import numpy as np
 
 from repro.core.strategy import PlanConfig, plan
+from repro.ir.semantics import order_sensitive_semantics
 from repro.runtime import execute, execute_sequential
 
 from bench_scale_partition import record_bench
 
 #: The O(1)-planning gate size: 10⁴ × 10⁴ = 10⁸ iteration points.
 PLAN_N = (10_000, 10_000)
-#: The kernel-speedup gate size: 10³ × 10³ = 10⁶ iteration points (the serial
-#: interpreter at 10⁸ would take half an hour; the claim is size-stable).
+#: The execution-speedup gate size: 10³ × 10³ = 10⁶ iteration points (the
+#: per-instance path at 10⁸ would take half an hour; the claim is size-stable).
 EXEC_N = (1_000, 1_000)
+
+#: Seconds the generated-source NumPy kernel (the former ``compiled``
+#: backend, since removed) took on the ``EXEC_N`` plan on a 2-vCPU x86 host:
+#: the reference recorded beside the vector steps' time.  The aim of at most
+#: 5x it is checked by hand on that host from ``vs_generated_kernel``, not
+#: asserted here: the reference is a constant from one machine.
+GENERATED_KERNEL_S = 0.108
 
 SYMBOLIC = PlanConfig(strategies=("symbolic",))
 
@@ -80,50 +90,52 @@ def test_symbolic_plan_is_o1_in_n(report):
     )
 
 
+def _wrapped_semantics(arrays, env, read_values):
+    """``order_sensitive_semantics`` behind a plain Python wrapper: the same
+    values, but a function the executor runs instance by instance."""
+    return order_sensitive_semantics(arrays, env, read_values)
+
+
 def test_compiled_backend_speedup(report):
     from repro.workloads.synthetic import large_uniform_loop
 
     n1, n2 = EXEC_N
     prog = large_uniform_loop(n1, n2)
     p = plan(prog, config=SYMBOLIC, cache=False)
+    per_instance_prog = large_uniform_loop(n1, n2, semantics=_wrapped_semantics)
 
     t0 = time.perf_counter()
-    serial = execute(prog, p.schedule, {}, backend="serial", seed=None)
-    t_serial = time.perf_counter() - t0
+    per_instance = execute(per_instance_prog, p.schedule, {}, backend="serial", seed=None)
+    t_per_instance = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    compiled = execute(prog, p.schedule, {}, backend="compiled")
-    t_compiled = time.perf_counter() - t0
+    vector = execute(prog, p.schedule, {}, backend="serial", seed=None)
+    t_vector = time.perf_counter() - t0
 
-    # Bit-identical to both the serial backend and the sequential reference
-    # before the timings mean anything.
+    # Bit-identical to both the per-instance path and the sequential
+    # reference before the timings mean anything.
     ref = execute_sequential(prog, {})
-    assert set(ref) == set(compiled.store)
-    assert all(np.array_equal(ref[k], compiled.store[k]) for k in ref)
-    assert all(np.array_equal(serial.store[k], compiled.store[k]) for k in ref)
-    assert compiled.meta.get("kernel") is True
-    assert compiled.instances_executed == p.schedule.total_work
+    assert set(ref) == set(vector.store)
+    assert all(np.array_equal(ref[k], vector.store[k]) for k in ref)
+    assert all(np.array_equal(per_instance.store[k], vector.store[k]) for k in ref)
+    assert vector.instances_executed == p.schedule.total_work
 
-    # The second execution of the same plan reuses the compiled module.
-    again = execute(prog, p.schedule, {}, backend="compiled")
-    assert again.meta["kernel_cache"] == "hit"
-    assert all(np.array_equal(ref[k], again.store[k]) for k in ref)
-
-    speedup = t_serial / t_compiled
+    speedup = t_per_instance / t_vector
     rows = [
         {
             "points": n1 * n2,
             "phases": p.schedule.num_phases,
-            "t_serial_s": round(t_serial, 4),
-            "t_compiled_s": round(t_compiled, 4),
+            "t_per_instance_s": round(t_per_instance, 4),
+            "t_vector_s": round(t_vector, 4),
+            "t_generated_kernel_s": GENERATED_KERNEL_S,
+            "vs_generated_kernel": round(t_vector / GENERATED_KERNEL_S, 2),
             "speedup": round(speedup, 1),
-            "kernel_cache_second_run": again.meta["kernel_cache"],
         }
     ]
-    report("Compiled kernel vs serial interpreter", rows)
+    report("Lockstep vector steps vs the per-instance path", rows)
     record_bench("symbolic_compiled", rows)
 
     assert speedup >= 10.0, (
-        f"compiled kernel only {speedup:.1f}x the serial backend at "
+        f"vector steps only {speedup:.1f}x the per-instance path at "
         f"{n1 * n2} points — the contract requires >= 10x"
     )

@@ -5,7 +5,8 @@
 * :mod:`repro.codegen.fortran` — pseudo-Fortran/OpenMP listings matching the
   structure of the paper's Example 1/3 output (documentation parity);
 * :mod:`repro.codegen.python_source` — executable Python generation for the
-  WHILE-loop chain walker and for whole schedules (tested by execution).
+  WHILE-loop chain walker and for whole schedules (printers whose output the
+  tests execute; the runtime executes schedules itself).
 """
 
 from .bounds import BoundExpr, LoopBounds, NestBounds, nest_bounds, render_affine

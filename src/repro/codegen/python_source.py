@@ -1,6 +1,6 @@
 """Executable Python code generation.
 
-Three generators whose output is *actually executed* by the test-suite:
+Two generators whose output is *actually executed* by the test-suite:
 
 * :func:`generate_chain_function` — the WHILE-loop chain walker of §3.2 as
   Python source: starting from an iteration it repeatedly applies
@@ -11,16 +11,9 @@ Three generators whose output is *actually executed* by the test-suite:
   partitioned schedule over an array store (phases → barriers, units → ordered
   instance lists) using the program's statement semantics.  The tests compare
   its effect against the interpreting executor and the sequential reference.
-* :func:`generate_symbolic_kernel_source` — the whole-schedule NumPy kernel
-  for a *symbolic* plan (:mod:`repro.core.symbolic`): every DOALL phase is a
-  strided-grid gather/compute/scatter, the coset-chain phase steps all chains
-  in lockstep, the statement semantics are inlined as vectorized modular
-  arithmetic, and every bound is a baked-in integer.  Per-point Python
-  dispatch disappears entirely.  :func:`ensure_symbolic_kernel` compiles the
-  module once per plan fingerprint and caches the function (the
-  hot-loaded-kernel idiom); schedules no kernel can serve report a reason via
-  :func:`symbolic_kernel_reason` and the ``compiled`` backend falls back.
 
+Schedules are executed by :class:`repro.runtime.executor.InstanceRunner`, not
+by generated code: these generators are printers whose output the tests run.
 Generated source is returned as a string and compiled with ``compile``/``exec``
 into an isolated namespace, so the artifacts can also be written to disk and
 inspected — the Python analogue of the paper's generated Fortran.
@@ -28,32 +21,17 @@ inspected — the Python analogue of the paper's generated Fortran.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from fractions import Fraction
-from textwrap import indent
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List
 
 from ..core.recurrence import AffineRecurrence
 from ..core.schedule import Schedule
 from ..ir.program import LoopProgram
-from ..ir.semantics import (
-    COMPUTE_HEAVY_ROUNDS,
-    compute_heavy_semantics,
-    order_sensitive_semantics,
-    sum_semantics,
-)
-from ..isl.affine import AffineExpr
 
 __all__ = [
     "generate_chain_function",
     "compile_function",
     "generate_schedule_runner",
-    "generate_symbolic_kernel_source",
-    "symbolic_kernel_reason",
-    "ensure_symbolic_kernel",
-    "kernel_cache_stats",
-    "clear_kernel_cache",
 ]
 
 
@@ -173,321 +151,3 @@ def generate_schedule_runner(
         lines.append(f"    # ---- barrier after phase {pi} ----")
     lines.append("    return store")
     return "\n".join(lines) + "\n"
-
-# ---------------------------------------------------------------------------
-# symbolic-plan kernels: the compiled execution path
-# ---------------------------------------------------------------------------
-
-#: Semantics the kernel emitter can inline as vectorized arithmetic.  The
-#: order-sensitive chain reduces every gathered value mod M first, so the
-#: int64 intermediate ``31 * ((acc + v) % M)`` stays below 2**36 — congruent
-#: to, and therefore bit-identical with, the interpreter's arbitrary-
-#: precision chain.
-_VECTORIZABLE = ("order", "sum", "heavy")
-
-
-def _statement_semantics_kind(stmt) -> Optional[str]:
-    sem = stmt.semantics
-    if sem is None or sem is order_sensitive_semantics:
-        return "order"
-    if sem is sum_semantics:
-        return "sum"
-    if sem is compute_heavy_semantics:
-        return "heavy"
-    return None
-
-
-def _integer_subscripts(ref, index_names) -> bool:
-    for sub in ref.subscripts:
-        if Fraction(sub.constant).denominator != 1:
-            return False
-        for name, coeff in sub.coeffs:
-            if Fraction(coeff).denominator != 1 or name not in index_names:
-                return False
-    return True
-
-
-def symbolic_kernel_reason(program: LoopProgram, schedule: Schedule) -> Optional[str]:
-    """``None`` when a vectorized kernel can be generated for this schedule,
-    else the human-readable reason the ``compiled`` backend records before it
-    falls back to ``serial``."""
-    from ..core.symbolic import CosetChainPhase, SymbolicDoallPhase
-
-    if schedule.meta.get("scheme") != "symbolic":
-        return (
-            f"schedule {schedule.name!r} is not a symbolic plan "
-            f"(scheme {schedule.meta.get('scheme', 'unknown')!r})"
-        )
-    for phase in schedule.phases:
-        if not isinstance(phase, (SymbolicDoallPhase, CosetChainPhase)):
-            return f"phase {phase.name!r} is not a symbolic box/coset phase"
-    contexts = program.statement_contexts()
-    if len(contexts) != 1:
-        return "kernels cover single-statement nests only"
-    ctx = contexts[0]
-    if _statement_semantics_kind(ctx.statement) is None:
-        return (
-            "custom statement semantics cannot be inlined into a vectorized "
-            "kernel"
-        )
-    for ref in (*ctx.statement.writes, *ctx.statement.reads):
-        if not _integer_subscripts(ref, ctx.index_names):
-            return (
-                f"reference {ref.array} has non-integer or parametric "
-                "subscripts"
-            )
-    return None
-
-
-def _render_subscript(expr: AffineExpr, var_map: Mapping[str, str]) -> str:
-    """One affine subscript as a NumPy index expression over grid variables."""
-    terms: List[str] = []
-    for name, coeff in expr.coeffs:
-        c = int(coeff)
-        if c == 0:
-            continue
-        v = var_map[name]
-        if c == 1:
-            terms.append(v)
-        elif c == -1:
-            terms.append(f"-{v}")
-        else:
-            terms.append(f"{c} * {v}")
-    const = int(expr.constant)
-    if const or not terms:
-        terms.append(str(const))
-    body = " + ".join(terms).replace("+ -", "- ")
-    return body if len(terms) == 1 else f"({body})"
-
-
-def _emit_statement_body(
-    lines: List[str],
-    stmt,
-    index_names: Sequence[str],
-    var_map: Mapping[str, str],
-    kind: str,
-    pad: str,
-) -> None:
-    """Gather / vectorized-semantics / scatter for one phase block."""
-    modular = kind in ("order", "heavy")
-    for j, ref in enumerate(stmt.reads):
-        subs = ", ".join(_render_subscript(s, var_map) for s in ref.subscripts)
-        gather = f"store[{ref.array!r}][{subs}]"
-        if modular:
-            gather = f"{gather} % _M"
-        lines.append(f"{pad}_r{j} = {gather}")
-    if modular:
-        lines.append(f"{pad}_acc = 17")
-        for j in range(len(stmt.reads)):
-            lines.append(f"{pad}_acc = (31 * ((_acc + _r{j}) % _M)) % _M")
-        for k, name in enumerate(sorted(index_names)):
-            lines.append(
-                f"{pad}_acc = (_acc + {k + 2} * {var_map[name]}) % _M"
-            )
-        if kind == "heavy":
-            lines.append(f"{pad}for _mix in range(_ROUNDS):")
-            lines.append(f"{pad}    _acc = (31 * _acc + 7) % _M")
-    else:  # sum semantics: written value = sum of reads + 1
-        if stmt.reads:
-            total = " + ".join(f"_r{j}" for j in range(len(stmt.reads)))
-            lines.append(f"{pad}_acc = {total} + 1")
-        else:
-            lines.append(f"{pad}_acc = 1")
-    for ref in stmt.writes:
-        subs = ", ".join(_render_subscript(s, var_map) for s in ref.subscripts)
-        lines.append(f"{pad}store[{ref.array!r}][{subs}] = _acc")
-
-
-def generate_symbolic_kernel_source(
-    program: LoopProgram,
-    schedule: Schedule,
-    name: str = "run_kernel",
-) -> str:
-    """The complete importable kernel module for a symbolic schedule.
-
-    The generated ``{name}(store)`` mutates the arrays in place and returns
-    ``[(phase_name, instances_executed, elapsed_seconds), ...]`` — one row
-    per phase, the shape the ``compiled`` backend turns into
-    :class:`~repro.runtime.backends.PhaseStats`.  All loop bounds, box
-    extents and chain-length formulas are baked in as integers; the only
-    Python-level loop left is the chain phase's lockstep walk (one iteration
-    per chain *step*, not per instance).
-    """
-    from ..core.symbolic import CosetChainPhase, SymbolicDoallPhase
-
-    reason = symbolic_kernel_reason(program, schedule)
-    if reason is not None:
-        raise ValueError(f"cannot generate a symbolic kernel: {reason}")
-    ctx = program.statement_contexts()[0]
-    stmt = ctx.statement
-    names = ctx.index_names
-    dim = len(names)
-    kind = _statement_semantics_kind(stmt)
-
-    lines: List[str] = [
-        '"""Auto-generated symbolic-plan kernel.  Do not edit."""',
-        "",
-        "import time as _time",
-        "",
-        "import numpy as np",
-        "",
-        "_M = 2147483647  # the semantics modulus (2**31 - 1)",
-    ]
-    if kind == "heavy":
-        lines.append(f"_ROUNDS = {COMPUTE_HEAVY_ROUNDS}")
-    lines += [
-        "",
-        "",
-        f"def {name}(store):",
-        f'    """Generated from schedule {schedule.name!r} '
-        f'({schedule.num_phases} phases, {schedule.total_work} instances)."""',
-        "    _stats = []",
-    ]
-
-    for pi, phase in enumerate(schedule.phases):
-        lines.append(f"    # phase {pi}: {phase.name}")
-        lines.append("    _t0 = _time.perf_counter()")
-        if isinstance(phase, SymbolicDoallPhase):
-            for box in phase.boxes:
-                lines.append(
-                    f"    # box {' x '.join(f'[{lo}, {hi}]' for lo, hi in box)}"
-                )
-                for k, (lo, hi) in enumerate(box):
-                    shape = ", ".join(
-                        "-1" if j == k else "1" for j in range(dim)
-                    )
-                    reshape = f".reshape({shape})" if dim > 1 else ""
-                    lines.append(
-                        f"    _i{k} = np.arange({lo}, {hi + 1}, "
-                        f"dtype=np.int64){reshape}"
-                    )
-                var_map = {n: f"_i{k}" for k, n in enumerate(names)}
-                _emit_statement_body(lines, stmt, names, var_map, kind, "    ")
-            lines.append(
-                f"    _stats.append(({phase.name!r}, {phase.work}, "
-                "_time.perf_counter() - _t0))"
-            )
-        elif isinstance(phase, CosetChainPhase):
-            step = phase.step
-            lines.append(
-                f"    # {len(phase)} coset chains, step {step}, "
-                f"P2 {' x '.join(f'[{lo}, {hi}]' for lo, hi in phase.box)}"
-            )
-            blocks = []
-            for bi, box in enumerate(phase.start_boxes):
-                axes = ", ".join(
-                    f"np.arange({lo}, {hi + 1}, dtype=np.int64)"
-                    for lo, hi in box
-                )
-                lines.append(
-                    f"    _g{bi} = np.meshgrid({axes}, indexing='ij')"
-                )
-                lines.append(
-                    f"    _w{bi} = np.stack([_a.ravel() for _a in _g{bi}], "
-                    "axis=1)"
-                )
-                blocks.append(f"_w{bi}")
-            if len(blocks) == 1:
-                lines.append(f"    _starts = {blocks[0]}")
-            else:
-                lines.append(
-                    f"    _starts = np.concatenate([{', '.join(blocks)}], "
-                    "axis=0)"
-                )
-            avail = []
-            for k, u_k in enumerate(step):
-                if u_k == 0:
-                    continue
-                lo2, hi2 = phase.box[k]
-                if u_k > 0:
-                    avail.append(f"({hi2} - _starts[:, {k}]) // {u_k}")
-                else:
-                    avail.append(f"(_starts[:, {k}] - {lo2}) // {-u_k}")
-            if len(avail) == 1:
-                lines.append(f"    _lens = {avail[0]} + 1")
-            else:
-                lines.append(
-                    f"    _lens = np.minimum.reduce([{', '.join(avail)}]) + 1"
-                )
-            lines += [
-                f"    if int(_lens.sum()) != {phase.work}:",
-                "        raise RuntimeError(",
-                "            'coset chains do not tile P2: %d != %d'",
-                f"            % (int(_lens.sum()), {phase.work}))",
-                "    # longest chains first: the active set per step is a prefix",
-                "    _ord = np.argsort(-_lens, kind='stable')",
-                "    _starts = _starts[_ord]",
-                "    _neg = -_lens[_ord]",
-                "    for _t in range(int(_lens.max()) if _lens.size else 0):",
-                "        _na = int(np.searchsorted(_neg, -_t, side='left'))",
-            ]
-            for k, u_k in enumerate(step):
-                off = f" + _t * {u_k}" if u_k else ""
-                lines.append(f"        _i{k} = _starts[:_na, {k}]{off}")
-            var_map = {n: f"_i{k}" for k, n in enumerate(names)}
-            _emit_statement_body(lines, stmt, names, var_map, kind, "        ")
-            lines.append(
-                f"    _stats.append(({phase.name!r}, {phase.work}, "
-                "_time.perf_counter() - _t0))"
-            )
-        lines.append(f"    # ---- barrier after phase {pi} ----")
-    lines.append("    return _stats")
-    return "\n".join(lines) + "\n"
-
-
-#: Compiled kernels keyed on ``schedule.meta['kernel_key']`` — the plan
-#: fingerprint plus the bound parameters, i.e. one kernel per distinct
-#: (program, params) plan, shared across repeated executions.  LRU-bounded
-#: (mirroring ``PlanCache``) and lock-guarded: a long-lived server compiles
-#: kernels from many threads, and an unbounded dict of generated functions
-#: is a slow memory leak over an open-ended request stream.
-_KERNEL_CACHE_MAXSIZE = 128
-_KERNEL_CACHE: "OrderedDict[str, Callable]" = OrderedDict()
-_KERNEL_CACHE_LOCK = threading.Lock()
-_KERNEL_CACHE_STATS = {"hits": 0, "misses": 0}
-
-
-def ensure_symbolic_kernel(
-    program: LoopProgram,
-    schedule: Schedule,
-    name: str = "run_kernel",
-) -> Tuple[Callable, str]:
-    """The compiled kernel for a symbolic schedule, compiling at most once.
-
-    Returns ``(kernel, "hit" | "miss")``; raises :class:`ValueError` (with
-    the :func:`symbolic_kernel_reason`) when the schedule cannot be served
-    by a kernel.
-    """
-    key = schedule.meta.get("kernel_key")
-    if not key:
-        raise ValueError(
-            "cannot generate a symbolic kernel: schedule has no kernel_key "
-            "(not built by the symbolic strategy)"
-        )
-    with _KERNEL_CACHE_LOCK:
-        fn = _KERNEL_CACHE.get(key)
-        if fn is not None:
-            _KERNEL_CACHE.move_to_end(key)
-            _KERNEL_CACHE_STATS["hits"] += 1
-            return fn, "hit"
-    source = generate_symbolic_kernel_source(program, schedule, name=name)
-    fn = compile_function(source, name)
-    with _KERNEL_CACHE_LOCK:
-        _KERNEL_CACHE[key] = fn
-        _KERNEL_CACHE.move_to_end(key)
-        while len(_KERNEL_CACHE) > _KERNEL_CACHE_MAXSIZE:
-            _KERNEL_CACHE.popitem(last=False)
-        _KERNEL_CACHE_STATS["misses"] += 1
-    return fn, "miss"
-
-
-def kernel_cache_stats() -> Dict[str, int]:
-    """Hit/miss counters and current size of the compiled-kernel cache."""
-    with _KERNEL_CACHE_LOCK:
-        return {**_KERNEL_CACHE_STATS, "size": len(_KERNEL_CACHE)}
-
-
-def clear_kernel_cache() -> None:
-    with _KERNEL_CACHE_LOCK:
-        _KERNEL_CACHE.clear()
-        _KERNEL_CACHE_STATS.update(hits=0, misses=0)

@@ -44,8 +44,6 @@ reached via ``Plan.execute(backend=..., workers=...)``, a pass-through to
 :func:`repro.runtime.backends.execute`; the shared-memory process pool turns
 the planned phase/barrier schedules into wall-clock speedups on multi-core
 hosts.
-Future work — symbolic-partition codegen — plugs in as more
-strategies/targets behind the same facade.
 """
 
 from __future__ import annotations
@@ -385,9 +383,7 @@ def _symbolic_builder(ctx: PlanningContext) -> StrategyBuild:
     from .symbolic import build_symbolic_schedule
 
     return StrategyBuild(
-        schedule=build_symbolic_schedule(
-            ctx.program, ctx.params, ctx.analysis, fingerprint=ctx.fingerprint
-        )
+        schedule=build_symbolic_schedule(ctx.program, ctx.params, ctx.analysis)
     )
 
 
@@ -474,7 +470,7 @@ def _score_symbolic(f) -> Score:
     return Score(
         0.9,
         "rectangular + single uniform distance: O(1) closed-form plan "
-        "and a compiled vectorized kernel",
+        "whose chains run as lockstep vector steps",
     )
 
 
@@ -545,7 +541,7 @@ register_strategy(PartitionStrategy(
 register_strategy(PartitionStrategy(
     name="symbolic",
     scheme="symbolic",
-    description="closed-form three-set partition, O(1)-in-N plan + compiled kernel",
+    description="closed-form three-set partition: O(1)-in-N boxes + coset chains",
     applicability=_symbolic_applicability,
     builder=_symbolic_builder,
     score=_score_symbolic,
@@ -820,9 +816,6 @@ class Plan:
         took = self.timings.get(self.strategy)
         suffix = f" in {took * 1e3:.2f} ms" if took is not None else ""
         lines.append(f"  - selected {self.strategy} (scheme {self.scheme!r}){suffix}")
-        hint = self.schedule.meta.get("backend_hint")
-        if hint:
-            lines.append(f"  backend: {hint}")
         lines.append(
             f"  schedule: {self.schedule.num_phases} phases, "
             f"{self.schedule.total_work} instances, "

@@ -36,8 +36,9 @@ distance ``u`` the chains are cosets of the distance lattice
 
 and walking back from any ``p ∈ P2`` by ``u`` stays inside P2 until it hits
 a ``w ∈ W`` (``p − u ∈ dom`` always; ``p − u ∈ ran`` iff ``p − 2u ∈ Φ``), so
-the cosets ``{w + t·u}`` tile P2 exactly — the generated kernels assert the
-tiling (``Σ len == |P2|``) at run time as a cheap belt-and-braces check.
+the cosets ``{w + t·u}`` tile P2 exactly — :meth:`CosetChainPhase.chains`
+asserts the tiling (``Σ len == |P2|``) when the chains are materialised, as a
+cheap belt-and-braces check.
 """
 
 from __future__ import annotations
@@ -472,7 +473,6 @@ def build_symbolic_schedule(
     program: LoopProgram,
     params: Mapping[str, int],
     analysis: DependenceAnalysis,
-    fingerprint: str = "",
 ) -> Schedule:
     """The Theorem 1 schedule from the symbolic partition, O(1) in |Φ|.
 
@@ -525,19 +525,6 @@ def build_symbolic_schedule(
         )
     phases.append(SymbolicDoallPhase("P3-doall", label, p3_boxes))
 
-    key_params = ",".join(f"{k}={v}" for k, v in sorted(params.items()))
-    if not fingerprint:
-        from .strategy import program_fingerprint
-
-        fingerprint = program_fingerprint(program)
     return Schedule.from_phases(
-        f"symbolic-{program.name}",
-        phases,
-        scheme="symbolic",
-        shift=shift,
-        kernel_key=f"{fingerprint}|{key_params}",
-        backend_hint=(
-            "compiled (generated NumPy kernel, cached on the plan "
-            "fingerprint; serial fallback)"
-        ),
+        f"symbolic-{program.name}", phases, scheme="symbolic", shift=shift
     )

@@ -37,11 +37,14 @@ __all__ = [
     "compute_heavy_semantics",
     "COMPUTE_HEAVY_ROUNDS",
     "DEFAULT_SEMANTICS",
+    "MODULUS",
 ]
 
-# A large prime keeps the mixed values bounded while preserving the
-# "different order => different value" property with high probability.
-_MODULUS = 2_147_483_647  # 2^31 - 1 (Mersenne prime)
+#: The mixing modulus, 2^31 - 1 (a Mersenne prime): it keeps the mixed values
+#: bounded while preserving the "different order => different value" property
+#: with high probability.  The executor's vector step reduces by the same
+#: constant.
+MODULUS = 2_147_483_647
 
 
 def order_sensitive_semantics(
@@ -59,9 +62,9 @@ def order_sensitive_semantics(
     for v in read_values:
         # Multiply the read value into the accumulator (coefficient != 1) so
         # that chaining two updates in different orders cannot cancel out.
-        acc = (31 * (acc + int(v))) % _MODULUS
+        acc = (31 * (acc + int(v))) % MODULUS
     for k, name in enumerate(sorted(env)):
-        acc = (acc + (k + 2) * int(env[name])) % _MODULUS
+        acc = (acc + (k + 2) * int(env[name])) % MODULUS
     return acc
 
 
@@ -96,11 +99,11 @@ def compute_heavy_semantics(
     """
     acc = 17
     for v in read_values:
-        acc = (31 * (acc + int(v))) % _MODULUS
+        acc = (31 * (acc + int(v))) % MODULUS
     for k, name in enumerate(sorted(env)):
-        acc = (acc + (k + 2) * int(env[name])) % _MODULUS
+        acc = (acc + (k + 2) * int(env[name])) % MODULUS
     for _ in range(COMPUTE_HEAVY_ROUNDS):
-        acc = (31 * acc + 7) % _MODULUS
+        acc = (31 * acc + 7) % MODULUS
     return acc
 
 

@@ -5,7 +5,8 @@
   ``serial`` / ``threaded`` / ``process`` / ``simulated`` / ``compiled``
   backends, all returning a unified :class:`~repro.runtime.backends.RunResult`;
 * :mod:`repro.runtime.executor` — sequential reference execution, the one
-  instance loop every executing backend shares, and exact semantic
+  executor every executing backend shares (lockstep vector steps for
+  race-free phases, an instance loop for the rest), and exact semantic
   validation;
 * :mod:`repro.runtime.process` / :mod:`repro.runtime.shm` — the
   shared-memory process pool: arrays in one ``multiprocessing.shared_memory``

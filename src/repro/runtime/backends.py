@@ -23,21 +23,19 @@ instance/worker/timing counters):
     the deterministic SMP cost model (no arrays are touched;
     ``RunResult.store`` is ``None`` and the speedup lands in ``meta``);
 ``compiled``
-    the generated-NumPy-kernel runner for symbolic plans
-    (:mod:`repro.codegen.python_source`): the whole schedule executes as
-    vectorized strided-slice assignments, compiled once and cached on the
-    plan fingerprint — schedules without a kernel fall back to ``serial``
-    with the reason recorded in ``RunResult.meta``.
+    a second name for ``serial`` (the run reports ``backend="compiled"``),
+    kept for callers that still request it.
 
 ``serial``, ``threaded`` and ``process`` differ only in who runs which
 units.  All three go through one phase loop (:func:`_run_phases`, which
 times each phase into a :class:`PhaseStats` and builds the
 :class:`RunResult`); each lowers a phase with
 :func:`~repro.runtime.executor.lower_phase` and executes its share through
-one :class:`~repro.runtime.executor.InstanceRunner` (integer subscript
-kernels, fixed-size blocks), which is what keeps them bit-identical to each
-other and to the ``Fraction``-exact
-:func:`~repro.runtime.executor.execute_sequential` oracle.
+one :class:`~repro.runtime.executor.InstanceRunner`, which is what keeps
+them bit-identical to each other and to the ``Fraction``-exact
+:func:`~repro.runtime.executor.execute_sequential` oracle.  The runner runs
+a race-free phase of the builtin semantics as lockstep vector steps and
+everything else instance by instance.
 
 :meth:`Plan.execute <repro.core.strategy.Plan.execute>` is a pass-through to
 :func:`execute`.  Third-party executors (a GPU runner, a free-threaded pool)
@@ -88,7 +86,11 @@ class ExecConfig:
 
     ``backend``
         Registry name of the executor: ``"serial"``, ``"threaded"``,
-        ``"process"`` or ``"simulated"`` (plus anything registered later).
+        ``"process"``, ``"simulated"`` or ``"compiled"`` (an alias of
+        ``"serial"``), plus anything registered later.  Every executing
+        backend runs race-free phases of the builtin semantics as lockstep
+        vector steps and the rest instance by instance
+        (:class:`~repro.runtime.executor.InstanceRunner`).
     ``workers``
         Thread/process/processor count for the parallel backends; the serial
         backend ignores it.
@@ -97,7 +99,8 @@ class ExecConfig:
         default (``0``) for every backend.
     ``lock_free``
         Threaded backend only: ``False`` adds per-array locks around each
-        instance (see :func:`_threaded_runner`).  The process backend
+        instance (see :func:`_threaded_runner`) and so keeps every phase on
+        the per-instance path.  The process backend
         rejects ``False`` (cross-process locking would serialise the pool;
         its schedules are race-free by construction).
     ``mp_context``
@@ -356,7 +359,8 @@ def _serial_runner(
     config: ExecConfig,
     rng: Optional[random.Random],
 ) -> RunResult:
-    """One process, phases in order, units shuffled."""
+    """One process, phases in order, units shuffled; the run reports the
+    backend name it was requested under (``serial`` or ``compiled``)."""
     store = store if store is not None else make_store(program)
     runner = InstanceRunner(program, store)
     rng = _resolve_rng(config, rng)
@@ -365,7 +369,7 @@ def _serial_runner(
         lowered = lower_phase(phase, runner.label_ids)
         return runner.run(lowered, unit_order(lowered.n_units, rng)), 1
 
-    return _run_phases(schedule, run_phase, store, "serial", 1)
+    return _run_phases(schedule, run_phase, store, config.backend, 1)
 
 
 def _threaded_runner(
@@ -383,7 +387,10 @@ def _threaded_runner(
     a schedule that is only correct under some lucky intra-phase order is
     exposed.  The GIL serialises the instance loop, so this shows
     correctness under real concurrency, not speed (``process`` is the
-    backend for wall-clock speedups).
+    backend for wall-clock speedups).  The threads run their shares as
+    lockstep vector steps only when the whole phase is race-free
+    (:meth:`~repro.runtime.executor.InstanceRunner.vectorises`), else
+    instance by instance.
 
     Lock order: execution is lock-free by default, since a partition-derived
     schedule is race-free inside a phase.  ``lock_free=False`` gives every
@@ -403,9 +410,13 @@ def _threaded_runner(
         def run_phase(phase):
             lowered = lower_phase(phase, runner.label_ids)
             units = unit_order(lowered.n_units, rng)
+            shares = min(n_threads, len(units))
+            # Race-freedom is a property of the whole phase: a share that is
+            # race-free on its own may still race with another thread's.
+            lockstep = shares == 1 or runner.vectorises(lowered)
             futures = [
-                pool.submit(runner.run, lowered, units[k::n_threads])
-                for k in range(min(n_threads, len(units)))
+                pool.submit(runner.run, lowered, units[k::n_threads], lockstep)
+                for k in range(shares)
             ]
             return sum(f.result() for f in futures), len(futures)
 
@@ -508,49 +519,6 @@ def _simulated_runner(
     )
 
 
-def _compiled_runner(
-    program: LoopProgram,
-    schedule: Schedule,
-    params: Dict[str, int],
-    store: Optional[ArrayStore],
-    config: ExecConfig,
-    rng: Optional[random.Random],
-) -> RunResult:
-    """Run a symbolic plan's generated NumPy kernel (compiled once, cached on
-    the plan fingerprint).  Schedules without a kernel — any non-symbolic
-    plan, or a statement whose semantics cannot be vectorized — fall back to
-    the ``serial`` runner with the reason recorded in ``meta``."""
-    from ..codegen.python_source import ensure_symbolic_kernel, symbolic_kernel_reason
-
-    reason = symbolic_kernel_reason(program, schedule)
-    if reason is None and not schedule.meta.get("kernel_key"):
-        reason = "schedule has no kernel_key (not built by the symbolic strategy)"
-    if reason is not None:
-        res = _serial_runner(program, schedule, params, store, config, rng)
-        return replace(
-            res,
-            backend="compiled",
-            meta={**res.meta, "fallback": "serial", "reason": reason},
-        )
-    kernel, cache_status = ensure_symbolic_kernel(program, schedule)
-    store = store if store is not None else make_store(program)
-    t_run = time.perf_counter()
-    rows = kernel(store)
-    elapsed = time.perf_counter() - t_run
-    stats = tuple(
-        PhaseStats(name, executed, len(phase), 1, dt)
-        for (name, executed, dt), phase in zip(rows, schedule.phases)
-    )
-    return RunResult(
-        store=store,
-        backend="compiled",
-        workers=1,
-        phase_stats=stats,
-        elapsed_s=elapsed,
-        meta={"kernel": True, "kernel_cache": cache_status},
-    )
-
-
 register_backend(ExecutionBackend(
     name="serial",
     description="single process, phases in order, shuffled intra-phase order",
@@ -574,6 +542,6 @@ register_backend(ExecutionBackend(
 ))
 register_backend(ExecutionBackend(
     name="compiled",
-    description="generated NumPy kernel for symbolic plans (serial fallback)",
-    runner=_compiled_runner,
+    description="alias of serial, kept for callers that request it",
+    runner=_serial_runner,
 ))

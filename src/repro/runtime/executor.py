@@ -12,14 +12,15 @@ Two execution paths are provided, deliberately independent of each other:
   :func:`subscript_kernel` lowers each array reference's subscripts once to an
   int64 :class:`~repro.isl.affine.AffineKernel`; :func:`lower_phase` turns any
   phase kind into one CSR form, :class:`LoweredPhase` ``(stmt_ids, rows,
-  unit_offsets)``; and :class:`InstanceRunner` walks that form in fixed-size
-  blocks, computing a block's subscripts as one matrix product per
-  reference.  Units inside a phase run in a deliberately shuffled order
-  (:func:`unit_order`) to emulate concurrent execution: a schedule that is
-  only correct under some lucky intra-phase ordering is exposed.  Instances
-  inside a unit keep their order (a WHILE chain is sequential by
-  construction).  :func:`repro.runtime.backends.execute` is the entry point
-  that drives them.
+  unit_offsets)``; and :class:`InstanceRunner` executes that form.  A
+  race-free phase of the builtin semantics runs as lockstep vector steps
+  (position k of every unit is one gather → compute → scatter); any other
+  phase runs instance by instance, its units in a deliberately shuffled
+  order (:func:`unit_order`) to emulate concurrent execution: a schedule
+  that is only correct under some lucky intra-phase ordering is exposed.
+  Instances inside a unit keep their order either way (a WHILE chain is
+  sequential by construction).  :func:`repro.runtime.backends.execute` is
+  the entry point that drives them.
 
 Array stores are dictionaries ``name -> numpy int64 array``; statement
 semantics are exact integer functions (see :mod:`repro.ir.semantics`), so
@@ -40,7 +41,12 @@ from ..core.schedule import ArrayPhase, Schedule, UnifiedArrayPhase
 from ..core.symbolic import CosetChainPhase, SymbolicDoallPhase
 from ..ir.nodes import ArrayRef, Statement
 from ..ir.program import LoopProgram
-from ..ir.semantics import DEFAULT_SEMANTICS
+from ..ir.semantics import (
+    DEFAULT_SEMANTICS,
+    MODULUS,
+    order_sensitive_semantics,
+    sum_semantics,
+)
 from ..isl.affine import AffineKernel
 
 __all__ = [
@@ -111,8 +117,14 @@ def _execute_exact(stmt: Statement, env: Mapping[str, int], store: ArrayStore) -
 # ---------------------------------------------------------------------------
 
 #: Instances per block of :meth:`InstanceRunner.run`: bounds the address
-#: arrays and Python row lists alive at once, whatever the phase size.
+#: arrays and Python row lists of one per-instance block, and the gathered
+#: values of one vector step.
 _BLOCK = 4096
+
+#: The statement semantics a vector step computes as int64 array arithmetic.
+_VECTOR_KINDS = {order_sensitive_semantics: "order", sum_semantics: "sum"}
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @lru_cache(maxsize=4096)
@@ -210,7 +222,7 @@ def unit_order(units: int, rng: Optional[random.Random]) -> np.ndarray:
 class _StatementPlan:
     """One statement's precomputed execution state against one store."""
 
-    def __init__(self, ctx, store: ArrayStore, locks):
+    def __init__(self, ctx, store: ArrayStore, locks, bases: Mapping[str, int]):
         stmt = ctx.statement
         self.statement = stmt
         self.names = ctx.index_names
@@ -221,38 +233,134 @@ class _StatementPlan:
             [locks[a] for a in sorted({ref.array for ref in refs})] if locks else None
         )
         self.refs = None  # not lowerable: every instance runs exactly
+        self.kind = None  # vector-step semantics ("order" / "sum") over int64 arrays
         if all(ref.array in store and store[ref.array].ndim == ref.rank for ref in refs):
             kernels = [subscript_kernel(ref, self.names) for ref in refs]
             if all(k is not None for k in kernels):
                 self.refs = [
-                    (k, _c_strides(store[ref.array].shape)) for k, ref in zip(kernels, refs)
+                    _FlatAddress(k, store[ref.array].shape) for k, ref in zip(kernels, refs)
                 ]
                 self.getters = [store[ref.array].item for ref in stmt.reads]
                 self.views = [_flat_view(store[ref.array]) for ref in stmt.writes]
+                if all(store[ref.array].dtype == np.int64 for ref in refs):
+                    self.kind = _VECTOR_KINDS.get(self.semantics)
+        if self.kind is not None:
+            self.read_views = [_flat_view(store[ref.array]) for ref in stmt.reads]
+            self.bases = np.array([bases[ref.array] for ref in refs], dtype=np.int64)
+            # order_sensitive_semantics mixes the indices in sorted-name order
+            self.env_cols = [self.names.index(n) for n in sorted(self.names)]
 
-    def addresses(self, rows: np.ndarray) -> Optional[list]:
-        """Per row, the C-order flat address of every read then write, or
-        ``None`` when the kernels decline the block or an index is out of
-        range (the exact path then raises exactly as it always did)."""
+    def address_matrix(self, rows: np.ndarray) -> Optional[np.ndarray]:
+        """``(n, reads + writes)``: per row, the C-order flat address of
+        every read then write, or ``None`` when the kernels decline the
+        block or an index is out of range (the exact path then raises
+        exactly as it always did)."""
         depth = len(self.names)
         if self.refs is None or rows.shape[1] < depth:
             return None
         points = rows[:, :depth]
-        cols = []
-        for kernel, (shape, strides) in self.refs:
-            idx = kernel.apply(points)
-            if idx is None or ((idx < -shape) | (idx >= shape)).any():
+        columns = [points[:, k] for k in range(depth)]
+        box = [(int(c.min()), int(c.max())) for c in columns] if len(rows) else None
+        out = np.empty((len(rows), len(self.refs)), dtype=np.int64)
+        for j, ref in enumerate(self.refs):
+            flat = ref.addresses(points, columns, box)
+            if flat is None:
                 return None
-            cols.append((idx + (idx < 0) * shape) @ strides)  # NumPy's negative wrap
-        return np.stack(cols, axis=1).tolist() if cols else [[]] * len(rows)
+            out[:, j] = flat
+        return out
+
+    def addresses(self, rows: np.ndarray) -> Optional[list]:
+        """:meth:`address_matrix` as one Python list per row."""
+        found = self.address_matrix(rows)
+        return None if found is None else found.tolist()
+
+    def gather_compute(self, addr: np.ndarray, rows: np.ndarray):
+        """The values one vector step writes: reads gathered through
+        ``addr``, then the semantics as int64 array arithmetic.  ``None``
+        when a ``sum`` step could pass int64 (the per-instance path then
+        raises its ``OverflowError``).
+
+        The order-sensitive chain reduces every read and iteration value mod
+        :data:`~repro.ir.semantics.MODULUS` before multiplying, which keeps
+        ``31 * x`` below 2**36 and is congruent to the exact chain, so the
+        result is bit-identical."""
+        reads = [view[addr[:, j]] for j, view in enumerate(self.read_views)]
+        if self.kind == "sum":
+            reach = sum(max(int(r.max()), -int(r.min())) for r in reads if r.size)
+            if reach + 1 > _INT64_MAX:
+                return None
+            return sum(reads) + 1
+        acc = 17
+        for r in reads:
+            acc = 31 * ((acc + r % MODULUS) % MODULUS) % MODULUS
+        for k, col in enumerate(self.env_cols):
+            acc = (acc + (k + 2) * (rows[:, col] % MODULUS)) % MODULUS
+        return acc
+
+    def scatter(self, addr: np.ndarray, values) -> None:
+        for j, view in enumerate(self.views, start=self.n_reads):
+            view[addr[:, j]] = values
 
 
-def _c_strides(shape: Tuple[int, ...]) -> Tuple[np.ndarray, np.ndarray]:
-    """``(shape, element strides)`` of a C-ordered array of ``shape``."""
-    strides = [1] * len(shape)
-    for k in range(len(shape) - 2, -1, -1):
-        strides[k] = strides[k + 1] * shape[k + 1]
-    return np.asarray(shape, dtype=np.int64), np.asarray(strides, dtype=np.int64)
+class _FlatAddress:
+    """One array reference's C-order flat address over a statement's loop
+    indices: its subscript kernel and the array's shape and strides.
+
+    Where the block's box proves the subscripts in range, the composed map
+    costs about a fifth of apply + range check + wrap (36 vs 165 ms for the
+    two references of a 10⁶-instance lockstep phase on a 2-vCPU x86 host);
+    the general path stays for wrapping, non-integral and unproven blocks."""
+
+    def __init__(self, kernel: AffineKernel, shape: Tuple[int, ...]):
+        self.kernel = kernel
+        self.shape = np.asarray(shape, dtype=np.int64)
+        strides = [1] * len(shape)
+        for k in range(len(shape) - 2, -1, -1):
+            strides[k] = strides[k + 1] * shape[k + 1]
+        self.strides = np.asarray(strides, dtype=np.int64)
+        # per subscript: (coefficients, constant, extent), for interval bounds
+        self.subscripts = list(zip(kernel.numer.T.tolist(), kernel.offset.tolist(), shape))
+        # the composed map x -> x·numer·strides + offset·strides, which is the
+        # flat address wherever every subscript is integral and in range
+        self.coeffs = [sum(a * s for a, s in zip(row, strides)) for row in kernel.numer.tolist()]
+        self.const = sum(o * s for o, s in zip(kernel.offset.tolist(), strides))
+        self.weight = sum(map(abs, self.coeffs)) + abs(self.const)
+
+    def in_range(self, box) -> bool:
+        """Whether every subscript is integral and in range over the box
+        ``[(min, max), ...]`` of the loop indices, by exact interval
+        arithmetic, and the composed map cannot overflow int64 there."""
+        if self.kernel.denom != 1:
+            return False
+        reach = max((max(-lo, hi) for lo, hi in box), default=0)
+        if (reach + 1) * self.weight >= _INT64_MAX:
+            return False
+        for coeffs, const, extent in self.subscripts:
+            lo = hi = const
+            for a, (x_lo, x_hi) in zip(coeffs, box):
+                lo += min(a * x_lo, a * x_hi)
+                hi += max(a * x_lo, a * x_hi)
+            if lo < 0 or hi >= extent:
+                return False
+        return True
+
+    def addresses(self, points: np.ndarray, columns, box) -> Optional[np.ndarray]:
+        """The flat address of each row of ``points`` (``columns`` are its
+        columns, ``box`` their ``(min, max)``), or ``None`` when the kernel
+        declines or an index is out of range.  Inside :meth:`in_range` the
+        address is the composed map evaluated column by column; otherwise
+        the subscripts are computed, range-checked and wrapped like NumPy's
+        negative indices."""
+        if box is not None and self.in_range(box):
+            flat = np.full(len(points), self.const, dtype=np.int64)
+            for a, column in zip(self.coeffs, columns):
+                if a:
+                    flat += a * column
+            return flat
+        idx = self.kernel.apply(points)
+        if idx is None or ((idx < -self.shape) | (idx >= self.shape)).any():
+            return None
+        return (idx + (idx < 0) * self.shape) @ self.strides  # NumPy's negative wrap
 
 
 def _flat_view(arr: np.ndarray):
@@ -261,33 +369,177 @@ def _flat_view(arr: np.ndarray):
     return arr.reshape(-1) if arr.flags.c_contiguous else arr.flat
 
 
+def _race_free(groups, n_units: int, size: int) -> bool:
+    """Whether no store element written by one unit is read or written by
+    another, by one sort in memory proportional to the phase.
+
+    Every access packs to ``(key · U + unit) · 2 + is_write`` (``key`` =
+    array base + flat address, below the store's ``size``; ``U`` the power
+    of two above ``n_units``), so the sorted accesses come in key groups,
+    units ascending inside each: a group races when its first and last
+    units differ and it holds a write.  ``groups`` are
+    :meth:`InstanceRunner._lockstep`'s per-statement ``(plan, addresses,
+    rows, units, block starts)``.  Keys too wide to pack count as a race:
+    the per-instance path is right for any phase."""
+    shift = n_units.bit_length() + 1
+    if size.bit_length() + shift > 62:
+        return False
+    packed = []
+    for plan, addr, _, unit, _ in groups:
+        keys = addr + plan.bases
+        keys <<= shift
+        keys |= (unit << 1)[:, None]
+        keys[:, plan.n_reads :] |= 1
+        packed.append(keys.ravel())
+    v = np.concatenate(packed) if len(packed) > 1 else packed[0]
+    if not v.size:
+        return True
+    v.sort()
+    key = v >> shift
+    first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    last = np.append(first[1:], len(v)) - 1
+    # same key, so first ^ last > 1 exactly when the units differ
+    mixed = (v[first] ^ v[last]) > 1
+    return not (mixed & (np.bitwise_or.reduceat(v, first) & 1 == 1)).any()
+
+
 class InstanceRunner:
     """The one execution path of every backend's phases.
 
     Built per (program, store): each statement's subscripts are lowered to
-    :class:`~repro.isl.affine.AffineKernel` s (cached per statement context),
-    and :meth:`run` walks a :class:`LoweredPhase` in blocks of
-    :data:`_BLOCK` instances — all subscripts of a block are one matrix
-    product per reference, then each instance gathers its reads through the
-    flat addresses, calls ``semantics(store, env, read_values)`` and stores
-    ``int(value)`` through each write.  ``locks`` (array name -> lock) holds
-    every lock of an instance's arrays, in sorted name order, around it.
+    :class:`~repro.isl.affine.AffineKernel` s (cached per statement
+    context), and :meth:`run` executes a :class:`LoweredPhase` one of two
+    ways.
+
+    * **Lockstep vector steps** when the phase is race-free: position k of
+      every selected unit is one step, cut into blocks of at most
+      :data:`_BLOCK` instances, and each block is one gather → compute →
+      scatter over the flat addresses the kernels produce.  Race-free means
+      no address written by one unit is read or written by another, so every
+      interleaving that keeps each unit's order — lockstep included — gives
+      the same store.
+    * **Instance by instance** otherwise: units one after another in the
+      order given (the backends shuffle it), all subscripts of a block of
+      :data:`_BLOCK` instances as one matrix product per reference, then
+      each instance gathers its reads, calls ``semantics(store, env,
+      read_values)`` and stores ``int(value)`` through each write.  This
+      path serves racy phases, custom and ``compute_heavy`` semantics,
+      phases whose blocks the kernels decline, and locked runs: ``locks``
+      (array name -> lock) holds every lock of an instance's arrays, in
+      sorted name order, around it.
     """
 
     def __init__(self, program: LoopProgram, store: ArrayStore, locks=None):
         self.store = store
         contexts = program.statement_contexts()
         self.label_ids = {ctx.statement.label: i for i, ctx in enumerate(contexts)}
-        self._plans = [_StatementPlan(ctx, store, locks) for ctx in contexts]
+        # every store element's key for the race check: array base + flat address
+        sizes = {name: int(arr.size) for name, arr in store.items()}
+        bases = dict(zip(sizes, np.cumsum([0, *sizes.values()]).tolist()))
+        self._size = sum(sizes.values())
+        self._plans = [_StatementPlan(ctx, store, locks, bases) for ctx in contexts]
+        self._vector = not locks
 
-    def run(self, lowered: LoweredPhase, units: Optional[np.ndarray] = None) -> int:
-        """Execute ``units`` of ``lowered`` (default: all, in order) back to
-        back, order inside each unit kept; returns the instance count."""
-        order = lowered.instance_order(units)
-        for lo in range(0, len(order), _BLOCK):
-            sel = order[lo : lo + _BLOCK]
+    def run(
+        self, lowered: LoweredPhase, units: Optional[np.ndarray] = None, lockstep: bool = True
+    ) -> int:
+        """Execute the distinct ``units`` of ``lowered`` (default: all, in
+        order), order inside each unit kept; returns the instance count.
+        ``lockstep=False`` keeps the phase instance by instance (a caller
+        that found the whole phase racy while running a share of it)."""
+        layout = self._lockstep(lowered, units) if lockstep else None
+        if layout is None:
+            rest = lowered.instance_order(units)
+            executed = len(rest)
+        else:
+            executed, rest = self._run_lockstep(lowered, units, *layout)
+        for lo in range(0, len(rest), _BLOCK):
+            sel = rest[lo : lo + _BLOCK]
             self._run_block(lowered.stmt_ids[sel], lowered.rows[sel])
-        return len(order)
+        return executed
+
+    def vectorises(self, lowered: LoweredPhase) -> bool:
+        """Whether :meth:`run` takes the whole of ``lowered`` as lockstep
+        vector steps (builtin semantics, kernels accept, race-free)."""
+        return self._lockstep(lowered, None) is not None
+
+    def _lockstep(self, lowered: LoweredPhase, units: Optional[np.ndarray]):
+        """The lockstep layout of the selected units, or ``None`` when the
+        phase is declined: locks, other semantics, kernels that decline, or
+        a race.  The layout is the instance permutation (``None``: as
+        lowered), the block cuts, and per statement its plan, addresses,
+        rows and where each block starts among them."""
+        if not self._vector:
+            return None
+        # A race-free phase gives the same store in any unit order, so a
+        # selection of every unit runs as lowered.
+        whole = units is None or len(units) == lowered.n_units
+        phase = lowered if whole else lowered.take(units)
+        sids, n = phase.stmt_ids, len(phase.stmt_ids)
+        if not n:
+            return None
+        present = [int(sids[0])] if sids.min() == sids.max() else np.unique(sids).tolist()
+        plans = [self._plans[sid] for sid in present]
+        if any(plan.kind is None for plan in plans):
+            return None
+
+        # Lockstep order: units longest first, so the units still running at
+        # position k are a prefix and step k is the slice off[k]:off[k + 1];
+        # an instance's rank inside its step names its unit.
+        lens = np.diff(phase.unit_offsets)
+        steps = int(lens.max())
+        if steps > 1:
+            alive = len(lens) - np.cumsum(np.bincount(lens, minlength=steps))[:steps]
+            off = np.concatenate(([0], np.cumsum(alive))).tolist()
+            step = np.repeat(np.arange(steps), alive)
+            unit = np.arange(n) - np.repeat(off[:-1], alive)
+            starts = phase.unit_offsets[np.argsort(-lens, kind="stable")]
+            perm = starts[unit] + step
+            rows = np.take(phase.rows, perm, axis=0)
+            sids = sids[perm]
+        else:
+            off, unit, perm, rows = [0, n], np.arange(n), None, phase.rows
+        cuts = [lo for k in range(steps) for lo in range(off[k], off[k + 1], _BLOCK)] + [n]
+
+        groups = []
+        for sid, plan in zip(present, plans):
+            if len(present) == 1:
+                where, at = slice(None), cuts
+            else:
+                where = np.flatnonzero(sids == sid)
+                at = np.searchsorted(where, cuts).tolist()
+            addr = plan.address_matrix(rows[where])
+            if addr is None:
+                return None
+            groups.append((plan, addr, rows[where], unit[where], at))
+        race_free = _race_free(groups, phase.n_units, self._size)
+        return (perm, cuts, groups) if race_free else None
+
+    @staticmethod
+    def _run_lockstep(
+        lowered: LoweredPhase, units: Optional[np.ndarray], perm, cuts, groups
+    ) -> Tuple[int, np.ndarray]:
+        """Run a :meth:`_lockstep` layout block by block; returns the
+        instance count and the instances (indices into ``lowered``, in
+        unit-major order) left for the per-instance loop: none, or the
+        unexecuted rest when a ``sum`` step declines."""
+        n = cuts[-1]
+        for j in range(len(cuts) - 1):
+            block = [
+                (plan, addr[at[j] : at[j + 1]], grows[at[j] : at[j + 1]])
+                for plan, addr, grows, _, at in groups
+                if at[j] < at[j + 1]
+            ]
+            # No instance of a step reads what another writes: compute every
+            # statement's values, then scatter them.
+            values = [plan.gather_compute(addr, grows) for plan, addr, grows in block]
+            if any(v is None for v in values):
+                rest = np.arange(cuts[j], n) if perm is None else np.sort(perm[cuts[j] :])
+                whole = units is None or len(units) == lowered.n_units
+                return n, rest if whole else lowered.instance_order(units)[rest]
+            for (plan, addr, _), v in zip(block, values):
+                plan.scatter(addr, v)
+        return n, np.empty(0, dtype=np.int64)
 
     def _run_block(self, stmt_ids: np.ndarray, rows: np.ndarray) -> None:
         plans, store = self._plans, self.store

@@ -27,7 +27,8 @@ Protocol (attach per store, barrier per phase):
    ``(stmt_ids, rows, unit_offsets)`` int64 arrays (slice-level messages,
    never per-point objects); the worker runs them through the same
    :class:`~repro.runtime.executor.InstanceRunner` as every other backend,
-   built once per attached store;
+   built once per attached store (its lockstep race check sees only that
+   worker's units);
 4. the parent collects one acknowledgement per shipped task before moving to
    the next phase — exactly the barrier of the generated code — and finally
    copies the shared arrays back into the caller's store, broadcasts

@@ -1,13 +1,11 @@
 """The memory-resident plan server.
 
-One :class:`PlanServer` keeps the three amortisable assets of this codebase
+One :class:`PlanServer` keeps the two amortisable assets of this codebase
 alive across requests instead of rebuilding them inside every call:
 
 * a thread-safe :class:`~repro.core.strategy.PlanCache` — repeated
   ``(program, params, config)`` requests skip dependence analysis, strategy
   selection and schedule construction entirely;
-* the process-wide compiled-kernel cache (``codegen.python_source``) — the
-  ``compiled`` backend and symbolic plans reuse generated kernels;
 * persistent :class:`~repro.runtime.process.ProcessPool` workers — the
   ``process`` backend re-ships only a fresh shared-memory descriptor table
   per request (``execute(pool=...)``) instead of re-forking workers.
@@ -44,7 +42,10 @@ PoolKey = Tuple[str, int, Optional[str]]
 
 
 class PlanServer:
-    """Serve planned parallel executions from warm caches and live workers.
+    """Serve planned parallel executions from a warm plan cache and live
+    workers.  Execution itself holds no cache: every backend runs a plan's
+    phases through :class:`~repro.runtime.executor.InstanceRunner`, built
+    per request.
 
     Parameters
     ----------

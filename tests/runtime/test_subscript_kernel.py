@@ -9,8 +9,14 @@ the two together on random affine references: rational coefficients,
 non-integral values, negative (wrapping) and out-of-range subscripts, and
 coordinates near 2**62 where the overflow proof fails and the exact path must
 take over.
+
+:class:`TestLockstepAgainstExact` pins the runner's two paths against each
+other: a race-free unit phase runs as lockstep vector steps, a racy one
+instance by instance in the shuffled unit order, and either way the store is
+the one the exact per-instance loop gives in that order.
 """
 
+import random
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -19,12 +25,14 @@ import pytest
 from hypothesis import example, given
 
 from repro.core import ArrayPhase, Schedule
-from repro.ir.builder import assign, loop, parse_affine, program
+from repro.core.schedule import ExecutionUnit, ParallelPhase
+from repro.ir.builder import aref, assign, loop, parse_affine, program
 from repro.ir.nodes import ArrayRef
+from repro.ir.semantics import sum_semantics
 from repro.isl.affine import AffineExpr, AffineKernel
 from repro.runtime import execute, execute_sequential, make_store, validate_schedule
 from repro.runtime import executor
-from repro.runtime.executor import _execute_exact, subscript_kernel
+from repro.runtime.executor import InstanceRunner, _execute_exact, subscript_kernel, unit_order
 from repro.workloads.examples import figure1_loop
 
 NAMES = ("i", "j")
@@ -158,6 +166,165 @@ class TestInstanceLoopAgainstExact:
         want = _outcome(exact, {"a": init["a"].copy()})
         store = {"a": _layout(init["a"].copy(), layout)}
         assert _outcome(scheduled, store) == want
+
+
+def _lockstep_program(semantics):
+    """Two statements over ``a`` (6x6) and ``b`` (6): ``s1`` writes
+    ``a[i, j]`` from ``a[i+1, j]``, ``s2`` writes ``b[j]`` from ``a[i, j+1]``
+    and ``b[j]``; rows in [0, 3]^2 keep every subscript in range."""
+    s1 = assign("s1", aref("a", "i", "j"), [aref("a", "i+1", "j")], semantics=semantics)
+    s2 = assign("s2", aref("b", "j"), [aref("a", "i", "j+1"), aref("b", "j")],
+                semantics=semantics)
+    return program(
+        "lockstep", loop("i", 0, 3, loop("j", 0, 3, s1, s2)),
+        array_shapes={"a": (6, 6), "b": (6,)},
+    )
+
+
+_instance = st.tuples(
+    st.sampled_from(["s1", "s2"]),
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+)
+unit_lists = st.lists(st.lists(_instance, min_size=1, max_size=4), min_size=1, max_size=6)
+
+
+def _touched(stmt, iteration):
+    env = dict(zip(("i", "j"), iteration))
+    reads = {(r.array, tuple(int(v) for v in r.evaluate(env))) for r in stmt.reads}
+    writes = {(r.array, tuple(int(v) for v in r.evaluate(env))) for r in stmt.writes}
+    return reads, writes
+
+
+def _racy(statements, units) -> bool:
+    """Whether some unit writes an element another unit reads or writes."""
+    per_unit = []
+    for unit in units:
+        reads, writes = set(), set()
+        for label, it in unit:
+            r, w = _touched(statements[label], it)
+            reads |= r
+            writes |= w
+        per_unit.append((reads, writes))
+    return any(
+        w & (r2 | w2)
+        for u, (_, w) in enumerate(per_unit)
+        for v, (r2, w2) in enumerate(per_unit)
+        if u != v
+    )
+
+
+class _CountingRunner:
+    """Counts the per-instance blocks :class:`InstanceRunner` runs."""
+
+    def __init__(self, monkeypatch):
+        self.blocks = 0
+        real = InstanceRunner._run_block
+
+        def counting(runner, stmt_ids, rows):
+            self.blocks += 1
+            return real(runner, stmt_ids, rows)
+
+        monkeypatch.setattr(InstanceRunner, "_run_block", counting)
+
+
+class TestLockstepAgainstExact:
+    @example(units=[[("s1", (0, 0))], [("s1", (1, 0))]], semantics=None)  # racy
+    @example(units=[[("s1", (0, 0))], [("s1", (0, 0))]], semantics=None)  # write-write
+    @example(units=[[("s1", (0, 0)), ("s2", (0, 0))], [("s1", (2, 2))]], semantics=None)
+    @example(units=[[("s2", (0, 0)), ("s2", (1, 0))], [("s1", (3, 3))]], semantics=sum_semantics)
+    @given(units=unit_lists, semantics=st.sampled_from([None, sum_semantics]))
+    def test_unit_phase_matches_per_instance(self, units, semantics):
+        """For every seed the serial run equals the exact per-instance loop
+        over the units in the shuffled order; a race-free phase gets there
+        as lockstep vector steps (no per-instance block), a racy one runs
+        instance by instance."""
+        prog = _lockstep_program(semantics)
+        statements = {ctx.statement.label: ctx.statement for ctx in prog.statement_contexts()}
+        phase = ParallelPhase("p", tuple(ExecutionUnit(tuple(u), "chain") for u in units))
+        schedule = Schedule.from_phases("units", [phase])
+        racy = _racy(statements, units)
+        init = make_store(prog, fill="random", seed=len(units))
+        with pytest.MonkeyPatch.context() as mp:
+            counter = _CountingRunner(mp)
+            for seed in (0, 1, 2, None):
+                want = {k: v.copy() for k, v in init.items()}
+                rng = random.Random(seed) if seed is not None else None
+                for u in unit_order(len(units), rng).tolist():
+                    for label, it in units[u]:
+                        _execute_exact(statements[label], dict(zip(("i", "j"), it)), want)
+                counter.blocks = 0
+                got = execute(prog, schedule, {}, store={k: v.copy() for k, v in init.items()},
+                              backend="serial", seed=seed).store
+                assert all(np.array_equal(want[k], got[k]) for k in want), (seed, racy)
+                assert (counter.blocks > 0) == racy
+
+    def test_race_between_thread_shares_runs_per_instance(self, monkeypatch):
+        """Two racing units dealt to two threads: each share is race-free
+        on its own, but the threaded backend checks the whole phase, so
+        both threads run their share instance by instance."""
+        prog = _lockstep_program(None)
+        units = [[("s1", (0, 0))], [("s1", (1, 0))]]  # s1(0,0) reads a[1,0]
+        phase = ParallelPhase("p", tuple(ExecutionUnit(tuple(u), "chain") for u in units))
+        schedule = Schedule.from_phases("units", [phase])
+        counter = _CountingRunner(monkeypatch)
+        execute(prog, schedule, {}, backend="threaded", workers=2, seed=None)
+        assert counter.blocks == 2
+        counter.blocks = 0
+        execute(prog, Schedule.from_phases("free", [ParallelPhase("p", (
+            ExecutionUnit((("s1", (0, 0)),), "chain"),
+            ExecutionUnit((("s1", (2, 0)),), "chain"),
+        ))]), {}, backend="threaded", workers=2, seed=None)
+        assert counter.blocks == 0
+
+    def test_sum_step_that_could_overflow_runs_per_instance(self, monkeypatch):
+        """Reads of +-2**62 could pass int64 under ``sum_semantics``, so the
+        step declines; the per-instance path then computes the exact sum."""
+        prog = program(
+            "cancel",
+            loop("i", 0, 3, assign("s", aref("c", "i"), [aref("a", "i"), aref("b", "i")],
+                                   semantics=sum_semantics)),
+            array_shapes={"a": (4,), "b": (4,), "c": (4,)},
+        )
+        store = make_store(prog)
+        store["a"][:] = 2**62
+        store["b"][:] = -(2**62)
+        counter = _CountingRunner(monkeypatch)
+        schedule = Schedule.from_phases("one", [ArrayPhase("p", "s", np.arange(4)[:, None])])
+        got = execute(prog, schedule, {}, store=store, seed=None).store
+        assert got["c"].tolist() == [1, 1, 1, 1]
+        assert counter.blocks == 1
+
+    def test_non_int64_store_runs_per_instance(self, monkeypatch):
+        """Vector steps compute in int64; a float store keeps the exact
+        per-instance semantics (``int(v)`` of every read)."""
+        prog = program(
+            "floats",
+            loop("i", 0, 3, assign("s", aref("a", "i"), [aref("a", "i")])),
+            array_shapes={"a": (5,)},
+        )
+        init = {"a": np.array([1.5, 2.25, 3.75, 4.5, 5.125])}
+        want = execute_sequential(prog, {}, store={"a": init["a"].copy()})
+        counter = _CountingRunner(monkeypatch)
+        schedule = Schedule.from_phases("one", [ArrayPhase("p", "s", np.arange(4)[:, None])])
+        got = execute(prog, schedule, {}, store={"a": init["a"].copy()}, seed=None).store
+        assert got["a"].tolist() == want["a"].tolist()
+        assert counter.blocks == 1
+
+    def test_sum_overflow_raises_like_the_exact_path(self):
+        """A chain whose sums double every step overflows int64 part way:
+        the schedule path raises the exact path's ``OverflowError``."""
+        prog = program(
+            "doubling",
+            loop("i", 0, 69, assign("s", aref("a", "i+1"), [aref("a", "i"), aref("a", "i")],
+                                    semantics=sum_semantics)),
+            array_shapes={"a": (71,)},
+        )
+        with pytest.raises(OverflowError):
+            execute_sequential(prog, {})
+        chain = ExecutionUnit.chain("s", [(i,) for i in range(70)])
+        schedule = Schedule.from_phases("chain", [ParallelPhase("p", (chain,))])
+        with pytest.raises(OverflowError):
+            execute(prog, schedule, {})
 
 
 class TestOracleIndependence:

@@ -68,6 +68,29 @@ class TestThreadedExecution:
         run = execute(prog, p.schedule, {}, backend="threaded", workers=4, seed=1)
         assert np.array_equal(ref["x"], run.store["x"])
 
+    def test_lockstep_steps_under_thread_stress(self):
+        """Eight threads with a tiny switch interval run their shares of
+        race-free phases as lockstep vector steps on one shared store: the
+        DOALL boxes and coset chains of a symbolic plan and the wavefronts
+        of a dataflow plan stay bit-identical to the sequential run."""
+        import sys
+
+        from repro.workloads.synthetic import large_uniform_loop
+
+        prog = large_uniform_loop(40, 30)
+        ref = execute_sequential(prog, {})
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for strategy in ("symbolic", "dataflow"):
+                p = plan(prog, config=PlanConfig(strategies=(strategy,)), cache=False)
+                for seed in (0, 1):
+                    run = execute(prog, p.schedule, {}, backend="threaded",
+                                  workers=8, seed=seed)
+                    assert np.array_equal(ref["x"], run.store["x"]), (strategy, seed)
+        finally:
+            sys.setswitchinterval(interval)
+
     @pytest.mark.parametrize("n_threads", [1, 4])
     def test_locked_execution_matches_sequential(self, n_threads):
         """lock_free=False serializes per-array but must not change results."""

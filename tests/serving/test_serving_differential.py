@@ -73,8 +73,8 @@ class TestServedBitIdentical:
 
     @given(prog=loop_programs())
     def test_compiled_served(self, prog):
-        """The compiled backend (kernel or its documented serial fallback)
-        serves bit-identical results through the daemon."""
+        """The ``compiled`` name (an alias of ``serial``) serves
+        bit-identical results through the daemon."""
         with PlanServer() as srv:
             _served_matches_direct(srv, prog, "compiled")
 
